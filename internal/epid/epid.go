@@ -13,8 +13,7 @@
 //
 // It does NOT reproduce EPID's cryptographic unlinkability across
 // basenames (a zero-knowledge property irrelevant to the paper's
-// workflow); the simplification is confined to this package and documented
-// in DESIGN.md.
+// workflow); the simplification is confined to this package.
 //
 // Construction: the issuer holds an ECDSA P-256 group issuing key. A
 // joining member generates an ECDSA member key plus a 32-byte pseudonym

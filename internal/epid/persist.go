@@ -11,7 +11,7 @@ import (
 // issuing key is a simulation affordance: in deployments the issuer is
 // Intel's provisioning service, and platforms are provisioned at
 // manufacture. Multi-process runs of this repo need the issuer shared
-// between the IAS process and the container-host process (DESIGN.md §2).
+// between the IAS process and the container-host process.
 type issuerState struct {
 	GID     GroupID `json:"gid"`
 	KeyDER  []byte  `json:"key_der"` // PKCS#8 ECDSA

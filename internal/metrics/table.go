@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// Table renders aligned plain-text tables in the style used by
-// EXPERIMENTS.md. Columns are sized to the widest cell.
+// Table renders the experiment tables cmd/benchreport prints, as aligned
+// plain text or markdown. Columns are sized to the widest cell.
 type Table struct {
 	title     string
 	headers   []string

@@ -95,8 +95,8 @@ type CostModel struct {
 }
 
 // DefaultCosts returns a CostModel with literature-derived SGX1/TPM/WAN
-// values. All experiments in EXPERIMENTS.md run under this model unless
-// stated otherwise.
+// values. The experiments (bench_test.go, cmd/benchreport) run under this
+// model unless stated otherwise.
 func DefaultCosts() *CostModel {
 	m := &CostModel{sleeper: NewSleeper()}
 	m.costs[OpECall] = 4 * time.Microsecond

@@ -88,29 +88,38 @@ func (s slowSigner) Sign(r io.Reader, digest []byte, opts crypto.SignerOpts) ([]
 	return s.inner.Sign(r, digest, opts)
 }
 
-// raceAppender builds an appender frozen in the exact state the
-// Flush/Close race produces: an entry slipped into the buffer between
-// Close's drain and `closed` being set, so the loop goroutine's *final*
-// commit — which runs after Close has already returned — still has to
-// commit it. No loop goroutine is started: the test plays its role, so
-// the interleaving is deterministic instead of a scheduler lottery.
-func raceAppender(l *Log) *Appender {
-	a := &Appender{
-		log:      l,
-		maxBatch: 4,
-		interval: time.Hour,
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
+// raceAppender builds a sharded appender frozen in the exact state the
+// Flush/Close race produces: an entry slipped into a shard buffer
+// between Close's drain and `closed` being set, so the sequencer's
+// *final* cycle — which runs after Close has already returned — still
+// has to commit it. No sequencer goroutine is started: the test plays
+// its role (commitCycle), so the interleaving is deterministic instead
+// of a scheduler lottery.
+func raceAppender(l *Log, shards int) *ShardedAppender {
+	sa := &ShardedAppender{
+		log:       l,
+		shards:    make([]*hostShard, shards),
+		maxBatch:  4,
+		interval:  time.Hour,
+		workers:   1,
+		shardInst: shardInstruments(shards),
+		slowLog:   func(string, ...any) {},
+		kick:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
 	}
-	a.idle = sync.NewCond(&a.mu)
-	a.pending = []Entry{{Type: EntryAttestOK, Actor: "late", Detail: "OK"}}
-	a.closed = true
-	close(a.done)
-	return a
+	for i := range sa.shards {
+		sa.shards[i] = &hostShard{closed: true}
+	}
+	sa.idle = sync.NewCond(&sa.mu)
+	sa.shards[0].pending = []Entry{{Type: EntryAttestOK, Actor: "late", Host: "host-0", Detail: "OK"}}
+	sa.closed = true
+	close(sa.done)
+	return sa
 }
 
-// TestFlushWaitsOutFinalCommit pins the Flush/Close race: with the
-// appender closed but the final batch not yet committed, Flush must wait
+// TestFlushWaitsOutFinalCommit pins the Flush/Close race on the
+// one-shard appender an unsharded Verification Manager runs: with the
+// appender closed but the final cycle not yet committed, Flush must wait
 // the commit out — not report completion while the entry is in flight.
 func TestFlushWaitsOutFinalCommit(t *testing.T) {
 	key := testSigner(t)
@@ -118,98 +127,43 @@ func TestFlushWaitsOutFinalCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := raceAppender(l)
+	sa := raceAppender(l, 1)
 	flushed := make(chan error, 1)
-	go func() { flushed <- a.Flush() }()
+	go func() { flushed <- sa.Flush() }()
 	select {
 	case <-flushed:
-		// Flush returned with the final batch still uncommitted.
-		t.Fatalf("Flush returned before the final batch landed (%d entries committed)", l.Size())
+		// Flush returned with the final cycle still uncommitted.
+		t.Fatalf("Flush returned before the final cycle landed (%d entries committed)", l.Size())
 	case <-time.After(100 * time.Millisecond):
 		// Still waiting: correct.
 	}
-	a.commit() // the loop goroutine's final commit
+	sa.commitCycle() // the sequencer's final cycle
 	if err := <-flushed; err != nil {
 		t.Fatalf("flush: %v", err)
 	}
 	if l.Size() != 1 {
-		t.Fatalf("final batch not committed: size %d", l.Size())
+		t.Fatalf("final cycle not committed: size %d", l.Size())
 	}
 }
 
-// TestFlushReportsFinalCommitError: same interleaving, but the final
-// commit fails — Flush must surface that error, not return nil.
+// TestFlushReportsFinalCommitError: the Flush/Close race of
+// TestFlushWaitsOutFinalCommit, but the final cycle's commit fails —
+// Flush must surface that error, not return nil.
 func TestFlushReportsFinalCommitError(t *testing.T) {
 	key := testSigner(t)
 	var left atomic.Int64
-	left.Store(1) // genesis head only; the final batch's signature fails
+	left.Store(1) // genesis head only; the final cycle's signature fails
 	l, err := NewLog(failAfterSigner{inner: key, left: &left})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := raceAppender(l)
+	sa := raceAppender(l, 1)
 	flushed := make(chan error, 1)
-	go func() { flushed <- a.Flush() }()
+	go func() { flushed <- sa.Flush() }()
 	time.Sleep(20 * time.Millisecond) // let Flush reach its wait
-	a.commit()
+	sa.commitCycle()
 	if err := <-flushed; err == nil {
-		t.Fatal("Flush swallowed the final batch's commit error")
-	}
-}
-
-// TestFlushCloseStress exercises producer/Flush/Close interleavings under
-// -race: every entry accepted before Close must be committed once the
-// post-close Flush returns.
-func TestFlushCloseStress(t *testing.T) {
-	key := testSigner(t)
-	for iter := 0; iter < 25; iter++ {
-		l, err := NewLog(slowSigner{inner: key, delay: 100 * time.Microsecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := NewAppender(l, AppenderConfig{MaxBatch: 4, FlushInterval: time.Millisecond})
-		var appended atomic.Uint64
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			// Bounded producer: an unbounded one would keep the buffer
-			// permanently non-empty and starve Close's drain.
-			for i := 0; i < 200; i++ {
-				if err := a.Append(testEntry(i)); err != nil {
-					if !errors.Is(err, ErrClosedLog) {
-						t.Errorf("append: %v", err)
-					}
-					return
-				}
-				appended.Add(1)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			time.Sleep(time.Duration(iter%7) * 100 * time.Microsecond)
-			if err := a.Close(); err != nil {
-				t.Errorf("close: %v", err)
-			}
-		}()
-
-		// Entries appended before this Flush call must be committed when
-		// it returns — whether the appender is open, closing, or closed.
-		time.Sleep(time.Duration(iter%5) * 150 * time.Microsecond)
-		n := appended.Load()
-		if err := a.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if got := l.Size(); got < n {
-			t.Fatalf("iter %d: Flush returned with %d of %d pre-Flush entries committed", iter, got, n)
-		}
-		wg.Wait()
-		if err := a.Flush(); err != nil {
-			t.Fatalf("post-close flush: %v", err)
-		}
-		if got, want := l.Size(), appended.Load(); got != want {
-			t.Fatalf("iter %d: %d committed, %d successfully appended", iter, got, want)
-		}
+		t.Fatal("Flush swallowed the final cycle's commit error")
 	}
 }
 
@@ -229,7 +183,7 @@ func (s failAfterSigner) Sign(r io.Reader, digest []byte, opts crypto.SignerOpts
 	return s.inner.Sign(r, digest, opts)
 }
 
-// TestFlushReportsFinalBatchError: the error of a batch committed during
+// TestFlushReportsFinalBatchError: the error of a cycle committed during
 // Close's drain is visible to a concurrent (or later) Flush, not dropped.
 func TestFlushReportsFinalBatchError(t *testing.T) {
 	key := testSigner(t)
@@ -239,15 +193,15 @@ func TestFlushReportsFinalBatchError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAppender(l, AppenderConfig{MaxBatch: 256, FlushInterval: time.Hour})
-	if err := a.Append(testEntry(0)); err != nil {
+	sa := NewShardedAppender(l, ShardedAppenderConfig{Shards: 1, FlushInterval: time.Hour})
+	if err := sa.Append(testEntry(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Close(); err == nil {
-		t.Fatal("Close dropped the final batch's commit error")
+	if err := sa.Close(); err == nil {
+		t.Fatal("Close dropped the final cycle's commit error")
 	}
-	if err := a.Flush(); err == nil {
-		t.Fatal("Flush after failed final batch returned nil")
+	if err := sa.Flush(); err == nil {
+		t.Fatal("Flush after failed final cycle returned nil")
 	}
 }
 

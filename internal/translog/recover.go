@@ -519,10 +519,10 @@ func recoverSharded(dir string, nShards int, shardFirsts map[int][]uint64, ckpt 
 // anchor raises ErrSealedRollback even when every file on disk was
 // rewound consistently). Every committed batch is durably persisted
 // (records fsynced, latest signed tree head atomically replaced, every
-// anchor updated) before AppendBatch returns, so the batched Appender
-// amortises the fsync the same way it amortises the tree-head
-// signature. With cfg.Shards > 1 the WAL is split into per-host segment
-// streams — see StoreConfig.Shards and the ShardedAppender. Close the
+// anchor updated) before AppendBatch returns, so the ShardedAppender's
+// merged cycles amortise the fsync the same way they amortise the
+// tree-head signature. With cfg.Shards > 1 the WAL is split into
+// per-host segment streams — see StoreConfig.Shards. Close the
 // returned log to release the store and anchors.
 func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, error) {
 	pub, ok := signer.Public().(*ecdsa.PublicKey)

@@ -7,18 +7,23 @@ import (
 	"time"
 )
 
-// Per-host sharding: the single Appender funnels every VM host's audit
-// entries through one mutex, one batch stream and one fsync pipeline —
-// fine for one host, a scaling wall for a fleet. The ShardedAppender
-// gives each host its own buffer (keyed by the statedir HostInfoFile
-// identity every Entry carries in its Host field) behind its own lock,
-// and a background merging sequencer (sequencer.go) that drains ready
-// shard batches round-robin and commits them as ONE merged Merkle batch
-// per cycle: one tree-head signature, one persisted-head replacement and
-// one trust-anchor bump cover every host's entries for that cycle,
-// instead of each host paying them separately. On a sharded durable
-// store (StoreConfig.Shards) each host's records also land in the
-// host's own WAL segment stream, written and fsynced in parallel.
+// Per-host sharding: the ShardedAppender is the log's one batching
+// front. It gives each host its own buffer (keyed by the statedir
+// HostInfoFile identity every Entry carries in its Host field) behind
+// its own lock, and a background merging sequencer (sequencer.go) that
+// drains ready shard batches round-robin and commits them as ONE merged
+// Merkle batch per cycle: one tree-head signature, one persisted-head
+// replacement and one trust-anchor bump cover every host's entries for
+// that cycle, instead of each host paying them separately. On a sharded
+// durable store (StoreConfig.Shards) each host's records also land in
+// the host's own WAL segment stream, written and fsynced in parallel;
+// over an unsharded store (one stream, or an in-memory log) the same
+// sequencer still batches and pipelines the commits.
+//
+// The contract producers rely on: Append never blocks on hashing,
+// signing or fsync; Flush waits out everything buffered before the call
+// including in-flight commits; Close flushes, then refuses further
+// appends with ErrClosedLog.
 //
 // The trust story is unchanged: global indices are assigned under the
 // log lock, every cycle commits through Log.appendPrepared exactly like
@@ -41,23 +46,6 @@ func ShardOf(host string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// EntryAppender is the batching front producers push audit entries
-// through: the single Appender or the per-host ShardedAppender. Both
-// honour the same contract — Append never blocks on hashing, signing or
-// fsync; Flush waits out everything buffered before the call including
-// in-flight commits; Close flushes, then refuses further appends with
-// ErrClosedLog.
-type EntryAppender interface {
-	Append(Entry) error
-	Flush() error
-	Close() error
-}
-
-var (
-	_ EntryAppender = (*Appender)(nil)
-	_ EntryAppender = (*ShardedAppender)(nil)
-)
-
 // ShardedAppenderConfig tunes the sharded appender.
 type ShardedAppenderConfig struct {
 	// Shards is the number of per-host buffers. Defaults to the log
@@ -66,12 +54,10 @@ type ShardedAppenderConfig struct {
 	Shards int
 	// MaxBatch caps how many entries one shard contributes to one
 	// sequencer cycle (default 1024) — so one chatty host cannot starve
-	// the others out of a cycle. The default is deliberately larger than
-	// the single Appender's 256: the merged cycle is what amortises the
+	// the others out of a cycle. The merged cycle is what amortises the
 	// tree-head signature, the persisted-head replacement and the anchor
 	// bump, and the sequencer prepares the cycle off the log lock, so a
-	// bigger quantum buys throughput without stretching the lock hold
-	// the way a bigger single-appender batch would.
+	// large quantum buys throughput without stretching the lock hold.
 	MaxBatch int
 	// FlushInterval bounds how long a buffered entry waits for a cycle
 	// (default 5ms).
@@ -221,12 +207,11 @@ func (sa *ShardedAppender) buffered() int {
 }
 
 // Flush blocks until every entry buffered before the call is committed,
-// returning the first commit error if any cycle failed. As with the
-// single Appender, it waits out an in-flight cycle even when the
-// appender is closing — the sequencer's final cycle drains the buffers
-// and broadcasts, so this cannot hang, and returning early would let a
-// Flush racing Close report nil before the last cycle (and its error)
-// lands.
+// returning the first commit error if any cycle failed. It waits out an
+// in-flight cycle even when the appender is closing — the sequencer's
+// final cycle drains the buffers and broadcasts, so this cannot hang,
+// and returning early would let a Flush racing Close report nil before
+// the last cycle (and its error) lands.
 func (sa *ShardedAppender) Flush() error {
 	sa.wake()
 	sa.mu.Lock()

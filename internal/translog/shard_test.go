@@ -786,24 +786,7 @@ func TestShardedFlushWaitsOutFinalCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa := &ShardedAppender{
-		log:       l,
-		shards:    []*hostShard{{}, {}},
-		maxBatch:  4,
-		interval:  time.Hour,
-		workers:   1,
-		shardInst: shardInstruments(2),
-		slowLog:   func(string, ...any) {},
-		kick:      make(chan struct{}, 1),
-		done:      make(chan struct{}),
-	}
-	sa.idle = sync.NewCond(&sa.mu)
-	sa.shards[0].pending = []Entry{{Type: EntryAttestOK, Actor: "late", Host: "host-0", Detail: "OK"}}
-	sa.shards[0].closed = true
-	sa.shards[1].closed = true
-	sa.closed = true
-	close(sa.done)
-
+	sa := raceAppender(l, 2)
 	flushed := make(chan error, 1)
 	go func() { flushed <- sa.Flush() }()
 	select {
@@ -822,83 +805,118 @@ func TestShardedFlushWaitsOutFinalCommit(t *testing.T) {
 
 // TestShardedFlushCloseStress is the -race satellite: 16 producer
 // goroutines across 4 hosts hammer the sharded appender while the
-// sequencer commits and Flush/Close race in, over a sharded durable
-// store. Every entry accepted before a Flush must be committed when that
-// Flush returns; every accepted entry must be durable at the end.
+// sequencer commits and Flush/Close race in. Every entry accepted
+// before a Flush must be committed when that Flush returns; every
+// accepted entry must be committed (and, on the durable store, durable)
+// at the end. It runs over a sharded durable store and over the
+// unsharded in-memory log the Verification Manager uses without a
+// statedir, where every host shares one buffer.
 func TestShardedFlushCloseStress(t *testing.T) {
 	key := testSigner(t)
-	for iter := 0; iter < 8; iter++ {
-		dir := t.TempDir()
-		l, err := OpenDurableLog(slowSigner{inner: key, delay: 50 * time.Microsecond}, dir,
-			StoreConfig{Shards: 4, SegmentMaxBytes: 4096, NoSync: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sa := NewShardedAppender(l, ShardedAppenderConfig{Shards: 4, MaxBatch: 8, FlushInterval: time.Millisecond})
+	storeCfg := StoreConfig{Shards: 4, SegmentMaxBytes: 4096, NoSync: true}
+	cases := []struct {
+		name    string
+		shards  int
+		iters   int
+		durable bool
+		delay   time.Duration
+	}{
+		{"durable-4-streams", 4, 8, true, 50 * time.Microsecond},
+		{"in-memory-1-shard", 1, 25, false, 100 * time.Microsecond},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for iter := 0; iter < tc.iters; iter++ {
+				signer := slowSigner{inner: key, delay: tc.delay}
+				var dir string
+				var l *Log
+				var err error
+				if tc.durable {
+					dir = t.TempDir()
+					l, err = OpenDurableLog(signer, dir, storeCfg)
+				} else {
+					l, err = NewLog(signer)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sa := NewShardedAppender(l, ShardedAppenderConfig{Shards: tc.shards, MaxBatch: 8, FlushInterval: time.Millisecond})
+				appended := stressFlushClose(t, sa, l, iter)
+				if !tc.durable {
+					continue
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				re, err := OpenDurableLog(key, dir, storeCfg)
+				if err != nil {
+					t.Fatalf("iter %d: reopen: %v", iter, err)
+				}
+				if got := re.Size(); got != appended {
+					t.Fatalf("iter %d: %d durable, %d acknowledged", iter, got, appended)
+				}
+				re.Close()
+			}
+		})
+	}
+}
 
-		const producers = 16
-		var appended atomic.Uint64
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				host := fmt.Sprintf("host-%d", p%4)
-				for i := 0; i < 100; i++ {
-					e := Entry{Type: EntryAttestOK, Timestamp: int64(i), Actor: fmt.Sprintf("fw-%d-%d", p, i), Host: host, Detail: "OK"}
-					if err := sa.Append(e); err != nil {
-						if !errors.Is(err, ErrClosedLog) {
-							t.Errorf("append: %v", err)
-						}
+// stressFlushClose runs one TestShardedFlushCloseStress iteration
+// against sa and returns how many entries the appender acknowledged.
+func stressFlushClose(t *testing.T, sa *ShardedAppender, l *Log, iter int) uint64 {
+	t.Helper()
+	const producers = 16
+	var appended atomic.Uint64
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			host := fmt.Sprintf("host-%d", p%4)
+			for i := 0; i < 100; i++ {
+				e := Entry{Type: EntryAttestOK, Timestamp: int64(i), Actor: fmt.Sprintf("fw-%d-%d", p, i), Host: host, Detail: "OK"}
+				if err := sa.Append(e); err != nil {
+					if !errors.Is(err, ErrClosedLog) {
+						t.Errorf("append: %v", err)
+					}
+					return
+				}
+				appended.Add(1)
+				if i%33 == 0 {
+					if err := sa.Flush(); err != nil {
+						t.Errorf("flush: %v", err)
 						return
 					}
-					appended.Add(1)
-					if i%33 == 0 {
-						if err := sa.Flush(); err != nil {
-							t.Errorf("flush: %v", err)
-							return
-						}
-					}
 				}
-			}(p)
-		}
-		closer := make(chan struct{})
-		go func() {
-			defer close(closer)
-			time.Sleep(time.Duration(iter) * 200 * time.Microsecond)
-			if err := sa.Close(); err != nil {
-				t.Errorf("close: %v", err)
 			}
-		}()
-
-		// Pre-Flush entries must be committed when Flush returns,
-		// whether the appender is open, closing or closed.
-		time.Sleep(time.Duration(iter%5) * 100 * time.Microsecond)
-		n := appended.Load()
-		if err := sa.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		if got := l.Size(); got < n {
-			t.Fatalf("iter %d: Flush returned with %d of %d pre-Flush entries committed", iter, got, n)
-		}
-		wg.Wait()
-		<-closer
-		if err := sa.Flush(); err != nil {
-			t.Fatalf("post-close flush: %v", err)
-		}
-		if got, want := l.Size(), appended.Load(); got != want {
-			t.Fatalf("iter %d: %d committed, %d successfully appended", iter, got, want)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		re, err := OpenDurableLog(key, dir, StoreConfig{Shards: 4, SegmentMaxBytes: 4096, NoSync: true})
-		if err != nil {
-			t.Fatalf("iter %d: reopen: %v", iter, err)
-		}
-		if got := re.Size(); got != appended.Load() {
-			t.Fatalf("iter %d: %d durable, %d acknowledged", iter, got, appended.Load())
-		}
-		re.Close()
+		}(p)
 	}
+	closer := make(chan struct{})
+	go func() {
+		defer close(closer)
+		time.Sleep(time.Duration(iter%8) * 200 * time.Microsecond)
+		if err := sa.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+
+	// Pre-Flush entries must be committed when Flush returns, whether
+	// the appender is open, closing or closed.
+	time.Sleep(time.Duration(iter%5) * 100 * time.Microsecond)
+	n := appended.Load()
+	if err := sa.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if got := l.Size(); got < n {
+		t.Fatalf("iter %d: Flush returned with %d of %d pre-Flush entries committed", iter, got, n)
+	}
+	wg.Wait()
+	<-closer
+	if err := sa.Flush(); err != nil {
+		t.Fatalf("post-close flush: %v", err)
+	}
+	if got, want := l.Size(), appended.Load(); got != want {
+		t.Fatalf("iter %d: %d committed, %d successfully appended", iter, got, want)
+	}
+	return appended.Load()
 }

@@ -440,9 +440,11 @@ func TestForeignHeadDetected(t *testing.T) {
 	}
 }
 
-// TestDurableAppenderConcurrent exercises the batched appender over a
-// durable log under -race: concurrent producers, a flusher and head
-// readers, then a reopen confirming every acknowledged entry is on disk.
+// TestDurableAppenderConcurrent exercises the batched appender over an
+// unsharded durable log — the Verification Manager's shape, one shard
+// buffer over one WAL stream — under -race: concurrent producers, a
+// flusher and head readers, then a reopen confirming every acknowledged
+// entry is on disk.
 func TestDurableAppenderConcurrent(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
@@ -450,7 +452,7 @@ func TestDurableAppenderConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAppender(l, AppenderConfig{MaxBatch: 64})
+	a := NewShardedAppender(l, ShardedAppenderConfig{Shards: 1, MaxBatch: 64})
 
 	const producers, perProducer = 8, 200
 	var wg sync.WaitGroup
@@ -459,7 +461,7 @@ func TestDurableAppenderConcurrent(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				e := Entry{Type: EntryAttestOK, Timestamp: int64(i), Actor: fmt.Sprintf("fw-%d-%d", p, i), Detail: "OK"}
+				e := Entry{Type: EntryAttestOK, Timestamp: int64(i), Actor: fmt.Sprintf("fw-%d-%d", p, i), Host: fmt.Sprintf("host-%d", p%4), Detail: "OK"}
 				if err := a.Append(e); err != nil {
 					t.Error(err)
 					return

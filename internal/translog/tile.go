@@ -247,12 +247,15 @@ func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {
 		return nil, err
 	}
 	t := &Tile{Level: level, Index: index, Hashes: hashes}
-	if full && l.store != nil {
+	if full && l.store != nil && l.tileWriteMu.TryLock() {
 		// Write-through so the next request is a file read. Best effort:
-		// a failed cache write must not fail the tile it caches.
+		// a failed cache write must not fail the tile it caches, and a
+		// request never waits for another cache writer — skipping the
+		// write costs at most one more miss.
 		if l.store.writeTile(t) == nil {
 			mTilesPublished.Inc()
 		}
+		l.tileWriteMu.Unlock()
 	}
 	return t, nil
 }
@@ -281,6 +284,8 @@ func (l *Log) PublishTiles() error {
 	if l.store == nil {
 		return fmt.Errorf("translog: publishing tiles of an in-memory log")
 	}
+	l.tileWriteMu.Lock()
+	defer l.tileWriteMu.Unlock()
 	n := l.committed.Load()
 	mark := l.tileMark.Load()
 	for level := uint64(0); level <= maxTileLevel; level++ {

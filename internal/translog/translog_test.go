@@ -246,38 +246,44 @@ func TestAppenderBatchesAndFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAppender(l, AppenderConfig{MaxBatch: 16, FlushInterval: time.Hour})
-	defer a.Close()
-	const n = 100
+	sa := NewShardedAppender(l, ShardedAppenderConfig{Shards: 4, MaxBatch: 16, FlushInterval: time.Hour})
+	defer sa.Close()
+	const n, hosts = 100, 3
+	submitted := map[string][]string{} // host → actors in submission order
 	for i := 0; i < n; i++ {
-		if err := a.Append(testEntry(i)); err != nil {
+		e := testEntry(i)
+		e.Host = fmt.Sprintf("host-%d", i%hosts)
+		if err := sa.Append(e); err != nil {
 			t.Fatal(err)
 		}
+		submitted[e.Host] = append(submitted[e.Host], e.Actor)
 	}
-	if err := a.Flush(); err != nil {
+	if err := sa.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Size(); got != n {
 		t.Fatalf("size %d after flush, want %d", got, n)
 	}
-	// Entries retain submission order.
+	// Each host's entries retain its submission order.
 	for i := 0; i < n; i++ {
 		e, err := l.Entry(uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Actor != fmt.Sprintf("vnf-%d", i) {
-			t.Fatalf("entry %d out of order: %+v", i, e)
+		want := submitted[e.Host]
+		if len(want) == 0 || e.Actor != want[0] {
+			t.Fatalf("entry %d out of %s's submission order: %+v", i, e.Host, e)
 		}
+		submitted[e.Host] = want[1:]
 	}
 	sth := l.STH()
 	if err := sth.Verify(&key.PublicKey); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Close(); err != nil {
+	if err := sa.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Append(testEntry(0)); !errors.Is(err, ErrClosedLog) {
+	if err := sa.Append(testEntry(0)); !errors.Is(err, ErrClosedLog) {
 		t.Fatalf("append after close: %v", err)
 	}
 }

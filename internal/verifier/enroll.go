@@ -24,6 +24,13 @@ func (m *Manager) EnrollVNF(hostName, vnf string) (*Enrollment, error) {
 	m.mu.Lock()
 	rec, ok := m.hosts[hostName]
 	_, dup := m.enrollments[vnf]
+	dup = dup || m.enrolling[vnf]
+	if ok && !dup {
+		// m.mu is released for the whole RA exchange; the reservation
+		// keeps the name taken until this call inserts the enrollment
+		// or fails.
+		m.enrolling[vnf] = true
+	}
 	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, hostName)
@@ -31,6 +38,11 @@ func (m *Manager) EnrollVNF(hostName, vnf string) (*Enrollment, error) {
 	if dup {
 		return nil, fmt.Errorf("%w: %q", ErrAlreadyEnrolled, vnf)
 	}
+	defer func() {
+		m.mu.Lock()
+		delete(m.enrolling, vnf)
+		m.mu.Unlock()
+	}()
 	if !m.HostTrusted(hostName) {
 		return nil, fmt.Errorf("%w: %q", ErrHostNotTrusted, hostName)
 	}

@@ -110,13 +110,13 @@ type Config struct {
 	// translog.ErrState* errors if the on-disk log was rolled back,
 	// tampered with or damaged since the last run.
 	LogDir string
-	// LogStore tunes the durable store when LogDir is set. With
-	// LogStore.Shards > 1 the Manager also swaps its hot-path batcher
-	// for a translog.ShardedAppender: every enrolled host maps to the
-	// shard translog.ShardOf picks for its name, each host's attestation
-	// verdicts buffer behind that host's own lock, and a merging
-	// sequencer commits all hosts' batches as one Merkle batch per cycle
-	// — per-host WAL streams, one tree-head signature and one
+	// LogStore tunes the durable store when LogDir is set. The Manager's
+	// hot-path batcher is a translog.ShardedAppender with one buffer per
+	// store shard. With LogStore.Shards > 1 every enrolled host maps to
+	// the shard translog.ShardOf picks for its name, each host's
+	// attestation verdicts buffer behind that host's own lock, and the
+	// merging sequencer commits all hosts' batches as one Merkle batch
+	// per cycle — per-host WAL streams, one tree-head signature and one
 	// trust-anchor bump per cycle, so the audit log ingests a fleet of
 	// VMs without serialising them.
 	LogStore translog.StoreConfig
@@ -173,13 +173,13 @@ type Manager struct {
 	goldenIMA *ima.GoldenDB
 
 	// tlog is the transparency log recording every trust decision;
-	// tlogAppender batches the hot-path attestation entries — the single
-	// Appender, or the per-host ShardedAppender when the log store is
-	// sharded. tlogOwned marks a durable log the Manager opened itself
-	// (from Config.LogDir) and must therefore close.
+	// tlogAppender batches the hot-path attestation entries through the
+	// merging sequencer, one buffer per store shard (one when the log is
+	// unsharded). tlogOwned marks a durable log the Manager opened
+	// itself (from Config.LogDir) and must therefore close.
 	tlog         *translog.Log
 	tlogOwned    bool
-	tlogAppender translog.EntryAppender
+	tlogAppender *translog.ShardedAppender
 	tlogShards   int
 
 	tracer func(phase string, d time.Duration)
@@ -189,7 +189,11 @@ type Manager struct {
 	expectCred  map[sgx.Measurement]bool
 	hosts       map[string]*hostRecord
 	enrollments map[string]*Enrollment
-	nonces      map[string]bool // issued, unconsumed nonces
+	// enrolling reserves each VNF name for the length of its EnrollVNF
+	// call, so a concurrent enrollment of the same VNF is refused with
+	// ErrAlreadyEnrolled while the first one runs its RA exchange.
+	enrolling map[string]bool
+	nonces    map[string]bool // issued, unconsumed nonces
 }
 
 // New creates a Manager with its embedded CA.
@@ -261,12 +265,7 @@ func New(cfg Config) (*Manager, error) {
 	if tlog.Durable() {
 		logShards = tlog.StoreShards()
 	}
-	var appender translog.EntryAppender
-	if logShards > 1 {
-		appender = translog.NewShardedAppender(tlog, translog.ShardedAppenderConfig{Shards: logShards})
-	} else {
-		appender = translog.NewAppender(tlog, translog.AppenderConfig{})
-	}
+	appender := translog.NewShardedAppender(tlog, translog.ShardedAppenderConfig{Shards: max(1, logShards)})
 	return &Manager{
 		name:         cfg.Name,
 		key:          key,
@@ -285,6 +284,7 @@ func New(cfg Config) (*Manager, error) {
 		expectCred:   make(map[sgx.Measurement]bool),
 		hosts:        make(map[string]*hostRecord),
 		enrollments:  make(map[string]*Enrollment),
+		enrolling:    make(map[string]bool),
 		nonces:       make(map[string]bool),
 	}, nil
 }

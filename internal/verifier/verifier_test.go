@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -384,6 +385,59 @@ func TestDoubleEnrollRejected(t *testing.T) {
 	}
 	if _, err := d.m.EnrollVNF("host-a", "fw-1"); !errors.Is(err, ErrAlreadyEnrolled) {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestConcurrentEnrollOneVNF: concurrent enrollments of one VNF yield
+// exactly one credential. The others are refused with
+// ErrAlreadyEnrolled by the in-flight reservation, not by whichever RA
+// step they happen to collide in, and the log records one enrollment.
+func TestConcurrentEnrollOneVNF(t *testing.T) {
+	d := newDeployment(t, deployOpts{})
+	d.deployAndLearn(t, "fw-1")
+	if _, err := d.m.AttestHost("host-a"); err != nil {
+		t.Fatal(err)
+	}
+	const callers = 4
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			_, errs[i] = d.m.EnrollVNF("host-a", "fw-1")
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	ok, refused := 0, 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			ok++
+		case errors.Is(err, ErrAlreadyEnrolled):
+			refused++
+		default:
+			t.Errorf("enroll: %v, want nil or ErrAlreadyEnrolled", err)
+		}
+	}
+	if ok != 1 || refused != callers-1 {
+		t.Fatalf("%d enrolled, %d refused as duplicates; want 1 and %d", ok, refused, callers-1)
+	}
+	if err := d.m.FlushLog(); err != nil {
+		t.Fatal(err)
+	}
+	log := d.m.TransparencyLog()
+	enrolls := 0
+	for _, e := range log.Entries(0, log.Size()) {
+		if e.Type == translog.EntryEnroll && e.Actor == "fw-1" {
+			enrolls++
+		}
+	}
+	if enrolls != 1 {
+		t.Fatalf("%d EntryEnroll entries for fw-1, want 1", enrolls)
 	}
 }
 
