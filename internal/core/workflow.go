@@ -107,13 +107,16 @@ func (d *Deployment) RunWorkflow(hostIdx int, vnfs []vnf.VNF) (*WorkflowResult, 
 		res.Enrolled = append(res.Enrolled, v.Name())
 	}
 	mu.Lock()
-	raDur, provDur := phases["vnf-attestation"], phases["provisioning"]
+	// Step 4 runs inside step 3's exchange (msg3 carries the quote);
+	// step 3 reports the exchange without it.
+	iasDur := phases["vnf-quote-verification"]
+	raDur, provDur := phases["vnf-attestation"]-iasDur, phases["provisioning"]
 	mu.Unlock()
 	res.Steps = append(res.Steps,
 		Step{3, "remote attestation of VNF enclaves", raDur,
 			fmt.Sprintf("%d enclave(s), RA key exchange", len(vnfs))},
-		Step{4, "IAS verification of enclave quotes", 0,
-			"included in step 3 (quote validated within the exchange)"},
+		Step{4, "IAS verification of enclave quotes", iasDur,
+			fmt.Sprintf("%d quote(s), within the exchange", len(vnfs))},
 		Step{5, "credential generation and provisioning", provDur,
 			fmt.Sprintf("mode: %s", provisionModeName(d))},
 	)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vnfguard/internal/enclaveapp"
+	"vnfguard/internal/epid"
 	"vnfguard/internal/ias"
 	"vnfguard/internal/ima"
 	"vnfguard/internal/sgx"
@@ -46,7 +47,7 @@ func (m *Manager) AttestHost(name string) (*HostAppraisal, error) {
 	}
 	m.trace("host-evidence", evStart)
 	appStart := time.Now()
-	app := m.appraiseHostEvidence(rec, nonce, ev)
+	app, sigRL := m.appraiseHostEvidence(rec, nonce, ev)
 	m.trace("host-appraisal", appStart)
 	m.auditAppraisal(app)
 
@@ -54,14 +55,19 @@ func (m *Manager) AttestHost(name string) (*HostAppraisal, error) {
 	rec.trusted = app.Trusted
 	rec.lastSeen = app.At
 	rec.last = app
+	rec.sigRL = nil
+	if app.Trusted {
+		rec.sigRL = sigRL
+	}
 	m.mu.Unlock()
 	return app, nil
 }
 
 // appraiseHostEvidence performs every verification step; it never returns
 // early on failure so the appraisal lists all findings (operators fix root
-// causes faster with the complete picture).
-func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclaveapp.HostEvidence) *HostAppraisal {
+// causes faster with the complete picture). It also returns the platform
+// group's SigRL fetched beside step 2, or nil.
+func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclaveapp.HostEvidence) (*HostAppraisal, *groupSigRL) {
 	app := &HostAppraisal{Host: rec.name, Trusted: true, At: time.Now()}
 	fail := func(format string, args ...any) {
 		app.Trusted = false
@@ -73,22 +79,36 @@ func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclav
 		fail("nonce mismatch or replay")
 	}
 
+	quote, err := sgx.DecodeQuote(ev.Quote)
+	if err != nil {
+		fail("quote decode: %v", err)
+		return app, nil
+	}
+	// Every enclave on the host quotes through the platform's EPID
+	// group, so steps 3–4 will need this group's SigRL: fetch it beside
+	// step 2's round trip rather than after it. A failed fetch only
+	// leaves steps 3–4 to fetch their own.
+	var sigRL *groupSigRL
+	fetched := make(chan struct{})
+	go func() {
+		defer close(fetched)
+		if list, err := m.iasC.SigRL(quote.GID); err == nil {
+			sigRL = &groupSigRL{gid: quote.GID, list: list}
+		}
+	}()
+
 	// Step 2: IAS validates the quote and revocation state.
 	avr, err := m.iasC.VerifyQuote(ev.Quote, base64.StdEncoding.EncodeToString(nonce)[:24])
+	<-fetched
 	if err != nil {
 		fail("IAS verification: %v", err)
-		return app
+		return app, nil
 	}
 	app.QuoteStatus = avr.Status()
 	if !avr.Status().Trusted() {
 		fail("%v: %s", ErrQuoteStatus, avr.Status())
 	}
 
-	quote, err := sgx.DecodeQuote(ev.Quote)
-	if err != nil {
-		fail("quote decode: %v", err)
-		return app
-	}
 	// Channel binding: report data must commit to IML, nonce and TPM
 	// quote.
 	if quote.Body.ReportData != sgx.ReportDataFromHash(ev.BindingDigest()) {
@@ -112,7 +132,7 @@ func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclav
 	list, err := ima.ParseList(ev.IML)
 	if err != nil {
 		fail("IML parse: %v", err)
-		return app
+		return app, nil
 	}
 	app.IMLEntries = list.Len()
 	app.IMAResult = m.goldenIMA.Appraise(list)
@@ -130,7 +150,7 @@ func (m *Manager) appraiseHostEvidence(rec *hostRecord, nonce []byte, ev *enclav
 			app.TPMVerified = true
 		}
 	}
-	return app
+	return app, sigRL
 }
 
 // HostTrusted reports whether a host's appraisal is current and trusted.
@@ -138,13 +158,25 @@ func (m *Manager) HostTrusted(name string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rec, ok := m.hosts[name]
-	if !ok || !rec.trusted {
-		return false
+	return ok && m.currentLocked(rec)
+}
+
+// currentLocked reports whether rec's appraisal is trusted and within
+// Policy.ReattestAfter. m.mu must be held.
+func (m *Manager) currentLocked(rec *hostRecord) bool {
+	return rec.trusted && (m.policy.ReattestAfter <= 0 || time.Since(rec.lastSeen) <= m.policy.ReattestAfter)
+}
+
+// appraisalSigRL returns the SigRL fetched with rec's current appraisal
+// when it covers gid. Its age admits no revoked signature: IAS checks its
+// live lists at quote verification, and the QE ignores msg2's list.
+func (m *Manager) appraisalSigRL(rec *hostRecord, gid epid.GroupID) ([][32]byte, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if rec.sigRL == nil || rec.sigRL.gid != gid || !m.currentLocked(rec) {
+		return nil, false
 	}
-	if m.policy.ReattestAfter > 0 && time.Since(rec.lastSeen) > m.policy.ReattestAfter {
-		return false
-	}
-	return true
+	return rec.sigRL.list, true
 }
 
 // LastAppraisal returns the most recent appraisal for a host.

@@ -49,35 +49,10 @@ func (m *Manager) EnrollVNF(hostName, vnf string) (*Enrollment, error) {
 
 	// Steps 3–4: remote attestation of the credential enclave.
 	raStart := time.Now()
-	m1, err := rec.conn.VNFRAMsg1(vnf)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: RA msg1: %w", err)
-	}
-	sigRL, err := m.iasC.SigRL(m1.GID)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: fetching SigRL: %w", err)
-	}
-	ch := ra.NewChallenger(m.spid, m.key, sgx.QuoteLinkable)
-	m2, err := ch.ProcessMsg1(m1, sigRL)
+	ch, err := m.attestCredentialEnclave(rec, vnf)
 	if err != nil {
 		return nil, err
 	}
-	m3, err := rec.conn.VNFRAMsg2(vnf, m2)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: RA msg2/3: %w", err)
-	}
-	m4, chErr := ch.ProcessMsg3(m3, m.credentialEvidenceCheck)
-	if m4 != nil {
-		// Deliver the verdict to the enclave regardless of outcome.
-		if err := rec.conn.VNFRAMsg4(vnf, m4); err != nil && chErr == nil {
-			return nil, fmt.Errorf("verifier: RA msg4: %w", err)
-		}
-	}
-	if chErr != nil {
-		m.auditVNFAttestation(vnf, hostName, sgx.Measurement{}, chErr)
-		return nil, chErr
-	}
-	m.auditVNFAttestation(vnf, hostName, ch.Quote().Body.MRENCLAVE, nil)
 	m.trace("vnf-attestation", raStart)
 
 	// Step 5: generate credentials and provision over the channel.
@@ -131,9 +106,49 @@ func (m *Manager) EnrollVNF(hostName, vnf string) (*Enrollment, error) {
 	return enr, nil
 }
 
-// credentialEvidenceCheck validates a credential-enclave quote via IAS and
-// pins the enclave identity.
+// attestCredentialEnclave runs steps 3–4 for one VNF: the RA exchange
+// with its credential enclave, taking msg2's SigRL from the host's
+// appraisal when it has one for the enclave's group. The verdict goes to
+// the enclave (msg4) and to the log either way.
+func (m *Manager) attestCredentialEnclave(rec *hostRecord, vnf string) (*ra.Challenger, error) {
+	m1, err := rec.conn.VNFRAMsg1(vnf)
+	if err != nil {
+		return nil, fmt.Errorf("verifier: RA msg1: %w", err)
+	}
+	sigRL, ok := m.appraisalSigRL(rec, m1.GID)
+	if !ok {
+		if sigRL, err = m.iasC.SigRL(m1.GID); err != nil {
+			return nil, fmt.Errorf("verifier: fetching SigRL: %w", err)
+		}
+	}
+	ch := ra.NewChallenger(m.spid, m.key, sgx.QuoteLinkable)
+	m2, err := ch.ProcessMsg1(m1, sigRL)
+	if err != nil {
+		return nil, err
+	}
+	m3, err := rec.conn.VNFRAMsg2(vnf, m2)
+	if err != nil {
+		return nil, fmt.Errorf("verifier: RA msg2/3: %w", err)
+	}
+	m4, chErr := ch.ProcessMsg3(m3, m.credentialEvidenceCheck)
+	if m4 != nil {
+		// Deliver the verdict to the enclave regardless of outcome.
+		if err := rec.conn.VNFRAMsg4(vnf, m4); err != nil && chErr == nil {
+			return nil, fmt.Errorf("verifier: RA msg4: %w", err)
+		}
+	}
+	if chErr != nil {
+		m.auditVNFAttestation(vnf, rec.name, sgx.Measurement{}, chErr)
+		return nil, chErr
+	}
+	m.auditVNFAttestation(vnf, rec.name, ch.Quote().Body.MRENCLAVE, nil)
+	return ch, nil
+}
+
+// credentialEvidenceCheck validates a credential-enclave quote via IAS
+// (step 4) and pins the enclave identity.
 func (m *Manager) credentialEvidenceCheck(quoteBytes []byte) (string, error) {
+	defer m.trace("vnf-quote-verification", time.Now())
 	avr, err := m.iasC.VerifyQuote(quoteBytes, "")
 	if err != nil {
 		return "IAS_ERROR", err
@@ -295,33 +310,9 @@ func (m *Manager) AttestVNF(hostName, vnf string) (*sgx.Quote, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, hostName)
 	}
-	m1, err := rec.conn.VNFRAMsg1(vnf)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: RA msg1: %w", err)
-	}
-	sigRL, err := m.iasC.SigRL(m1.GID)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: fetching SigRL: %w", err)
-	}
-	ch := ra.NewChallenger(m.spid, m.key, sgx.QuoteLinkable)
-	m2, err := ch.ProcessMsg1(m1, sigRL)
+	ch, err := m.attestCredentialEnclave(rec, vnf)
 	if err != nil {
 		return nil, err
 	}
-	m3, err := rec.conn.VNFRAMsg2(vnf, m2)
-	if err != nil {
-		return nil, fmt.Errorf("verifier: RA msg2/3: %w", err)
-	}
-	m4, chErr := ch.ProcessMsg3(m3, m.credentialEvidenceCheck)
-	if m4 != nil {
-		if err := rec.conn.VNFRAMsg4(vnf, m4); err != nil && chErr == nil {
-			return nil, fmt.Errorf("verifier: RA msg4: %w", err)
-		}
-	}
-	if chErr != nil {
-		m.auditVNFAttestation(vnf, hostName, sgx.Measurement{}, chErr)
-		return nil, chErr
-	}
-	m.auditVNFAttestation(vnf, hostName, ch.Quote().Body.MRENCLAVE, nil)
 	return ch.Quote(), nil
 }

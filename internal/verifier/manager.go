@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"vnfguard/internal/enclaveapp"
+	"vnfguard/internal/epid"
 	"vnfguard/internal/ias"
 	"vnfguard/internal/ima"
 	"vnfguard/internal/pki"
@@ -141,6 +142,15 @@ type hostRecord struct {
 	trusted  bool
 	lastSeen time.Time
 	last     *HostAppraisal
+	// sigRL is the platform group's SigRL fetched beside last's IAS
+	// verification; nil unless last is trusted and the fetch succeeded.
+	sigRL *groupSigRL
+}
+
+// groupSigRL is one EPID group's signature revocation list.
+type groupSigRL struct {
+	gid  epid.GroupID
+	list [][32]byte
 }
 
 // Enrollment is one provisioned VNF.
@@ -292,7 +302,8 @@ func New(cfg Config) (*Manager, error) {
 // SetTracer installs a phase-timing callback used by the experiment
 // harness to attribute latency to the workflow steps of Figure 1. Phases:
 // "host-evidence" (step 1), "host-appraisal" (step 2), "vnf-attestation"
-// (steps 3–4), "provisioning" (step 5).
+// (steps 3–4), "vnf-quote-verification" (step 4, inside
+// "vnf-attestation"), "provisioning" (step 5).
 func (m *Manager) SetTracer(t func(phase string, d time.Duration)) { m.tracer = t }
 
 // trace reports one phase duration when a tracer is installed.

@@ -30,6 +30,8 @@ type deployment struct {
 	h      *host.Host
 	m      *Manager
 	model  *simtime.CostModel
+	// ias counts (and can fail) the Manager's calls to IAS.
+	ias *countingIAS
 }
 
 type deployOpts struct {
@@ -66,9 +68,10 @@ func newDeployment(t *testing.T, opts deployOpts) *deployment {
 	}
 	policy := DefaultPolicy()
 	policy.RequireTPM = opts.requireTPM
+	iasC := &countingIAS{QuoteVerifier: &ias.DirectClient{Service: iasSvc, Model: model}}
 	m, err := New(Config{
 		Name: "vm", Key: vmKey, SPID: sgx.SPID{9},
-		IAS:           &ias.DirectClient{Service: iasSvc, Model: model},
+		IAS:           iasC,
 		Policy:        policy,
 		ProvisionMode: opts.provMode,
 		CA:            opts.ca,
@@ -97,7 +100,7 @@ func newDeployment(t *testing.T, opts deployOpts) *deployment {
 		t.Fatal(err)
 	}
 	m.PinCredentialMeasurement(credMR)
-	return &deployment{issuer: issuer, iasSvc: iasSvc, vendor: vendor, h: h, m: m, model: model}
+	return &deployment{issuer: issuer, iasSvc: iasSvc, vendor: vendor, h: h, m: m, model: model, ias: iasC}
 }
 
 func vnfImage() *host.Image {
