@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,8 +221,9 @@ func BenchmarkE4_SecurityModes(b *testing.B) {
 
 // BenchmarkE5_EnclaveTLS measures the paper's deferred question: the
 // performance impact of TLS placement. Native (no enclave) vs private
-// key in enclave vs full session in enclave, for handshakes and bulk
-// transfer.
+// key in enclave vs full session in enclave, for full handshakes and bulk
+// transfer against a ticketless server, and for handshakes resuming a
+// TLS 1.3 session ticket against a ticket-issuing one.
 func BenchmarkE5_EnclaveTLS(b *testing.B) {
 	model := benchModel()
 	d := newBenchDeployment(b, core.Options{Model: model})
@@ -236,9 +238,9 @@ func BenchmarkE5_EnclaveTLS(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	// Mutual-TLS echo server trusting the VM CA.
-	addr, stop := startEchoTLS(b, d.VM.CA())
-	defer stop()
+	// Mutual-TLS echo servers trusting the VM CA.
+	full := startEchoTLS(b, d.VM.CA(), false)
+	resuming := startEchoTLS(b, d.VM.CA(), true)
 
 	// Native baseline: key held in untrusted memory.
 	nativeKey, err := pki.GenerateKey()
@@ -262,24 +264,35 @@ func BenchmarkE5_EnclaveTLS(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	dialers := map[string]func() (net.Conn, error){
-		"native": func() (net.Conn, error) { return tls.Dial("tcp", addr, nativeCfg) },
-		"key-in-enclave": func() (net.Conn, error) {
-			return tls.Dial("tcp", addr, keyCfg)
-		},
-		"full-session-in-enclave": func() (net.Conn, error) {
-			raw, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return ce.DialTLS(raw, core.ServerName)
-		},
+	// dialers returns the three placements; with tickets the native and
+	// key-in-enclave configs get a session cache, as the credential
+	// enclave always has one inside.
+	dialers := func(tickets bool) map[string]func(addr string) (net.Conn, error) {
+		nativeCfg, keyCfg := nativeCfg, keyCfg
+		if tickets {
+			nativeCfg, keyCfg = nativeCfg.Clone(), keyCfg.Clone()
+			nativeCfg.ClientSessionCache = tls.NewLRUClientSessionCache(1)
+			keyCfg.ClientSessionCache = tls.NewLRUClientSessionCache(1)
+		}
+		return map[string]func(addr string) (net.Conn, error){
+			"native":         func(addr string) (net.Conn, error) { return tls.Dial("tcp", addr, nativeCfg) },
+			"key-in-enclave": func(addr string) (net.Conn, error) { return tls.Dial("tcp", addr, keyCfg) },
+			"full-session-in-enclave": func(addr string) (net.Conn, error) {
+				raw, err := net.Dial("tcp", addr)
+				if err != nil {
+					return nil, err
+				}
+				return ce.DialTLS(raw, core.ServerName)
+			},
+		}
 	}
-	for _, name := range []string{"native", "key-in-enclave", "full-session-in-enclave"} {
-		dial := dialers[name]
+	placements := []string{"native", "key-in-enclave", "full-session-in-enclave"}
+	fullDialers := dialers(false)
+	for _, name := range placements {
+		dial := fullDialers[name]
 		b.Run("handshake/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				conn, err := dial()
+				conn, err := dial(full.addr)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -289,7 +302,7 @@ func BenchmarkE5_EnclaveTLS(b *testing.B) {
 		for _, size := range []int{1 << 10, 64 << 10} {
 			payload := make([]byte, size)
 			b.Run(fmt.Sprintf("transfer-%dKiB/%s", size>>10, name), func(b *testing.B) {
-				conn, err := dial()
+				conn, err := dial(full.addr)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -308,10 +321,55 @@ func BenchmarkE5_EnclaveTLS(b *testing.B) {
 			})
 		}
 	}
+	// Resumed handshakes: a warm-up connection takes the first ticket,
+	// and every measured connection takes the next one, untimed, after
+	// its handshake.
+	resumeDialers := dialers(true)
+	for _, name := range placements {
+		dial := resumeDialers[name]
+		b.Run("handshake-resumed/"+name, func(b *testing.B) {
+			connect := func() error {
+				conn, err := dial(resuming.addr)
+				if err != nil {
+					return err
+				}
+				b.StopTimer()
+				defer b.StartTimer()
+				defer conn.Close()
+				if _, err := conn.Write([]byte{1}); err != nil {
+					return err
+				}
+				_, err = io.ReadFull(conn, make([]byte, 1))
+				return err
+			}
+			if err := connect(); err != nil {
+				b.Fatal(err)
+			}
+			before := resuming.resumed.Load()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := connect(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if got := resuming.resumed.Load() - before; got != int64(b.N) {
+				b.Fatalf("%d of %d handshakes resumed", got, b.N)
+			}
+		})
+	}
 }
 
-// startEchoTLS runs a mutual-TLS echo server for E5.
-func startEchoTLS(b *testing.B, ca *pki.CA) (addr string, stop func()) {
+// echoTLS is a mutual-TLS echo server for E5. With tickets it issues
+// TLS 1.3 session tickets and counts the handshakes that resumed one;
+// without, every handshake is a full one.
+type echoTLS struct {
+	addr    string
+	resumed atomic.Int64
+}
+
+// startEchoTLS runs an echo server until the benchmark ends.
+func startEchoTLS(b *testing.B, ca *pki.CA, tickets bool) *echoTLS {
 	b.Helper()
 	key, err := pki.GenerateKey()
 	if err != nil {
@@ -321,16 +379,25 @@ func startEchoTLS(b *testing.B, ca *pki.CA) (addr string, stop func()) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	e := &echoTLS{}
 	cfg := &tls.Config{
-		MinVersion:   tls.VersionTLS12,
-		Certificates: []tls.Certificate{{Certificate: [][]byte{cert.Raw}, PrivateKey: key}},
-		ClientAuth:   tls.RequireAndVerifyClientCert,
-		ClientCAs:    ca.Pool(),
+		MinVersion:             tls.VersionTLS12,
+		Certificates:           []tls.Certificate{{Certificate: [][]byte{cert.Raw}, PrivateKey: key}},
+		ClientAuth:             tls.RequireAndVerifyClientCert,
+		ClientCAs:              ca.Pool(),
+		SessionTicketsDisabled: !tickets,
+		VerifyConnection: func(cs tls.ConnectionState) error {
+			if cs.DidResume {
+				e.resumed.Add(1)
+			}
+			return nil
+		},
 	}
 	ln, err := tls.Listen("tcp", "127.0.0.1:0", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -343,7 +410,8 @@ func startEchoTLS(b *testing.B, ca *pki.CA) (addr string, stop func()) {
 			}(conn)
 		}
 	}()
-	return ln.Addr().String(), func() { ln.Close() }
+	e.addr = ln.Addr().String()
+	return e
 }
 
 // BenchmarkE6_HostAttestation measures steps 1–2 as the IML grows: the

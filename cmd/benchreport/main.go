@@ -17,6 +17,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crypto/ecdsa"
@@ -366,6 +367,97 @@ func runE4(runs int) (*metrics.Table, error) {
 	return t, nil
 }
 
+// e5Echo is a mutual-TLS echo server for E5 trusting the VM CA. With
+// tickets it issues TLS 1.3 session tickets and counts the handshakes
+// that resumed one; without, every handshake is a full one.
+type e5Echo struct {
+	addr    string
+	resumed atomic.Int64
+	ln      net.Listener
+}
+
+func startE5Echo(ca *pki.CA, tickets bool) (*e5Echo, error) {
+	key, err := pki.GenerateKey()
+	if err != nil {
+		return nil, err
+	}
+	cert, err := ca.IssueServerCert(core.ServerName, []string{core.ServerName}, []net.IP{net.IPv4(127, 0, 0, 1)}, &key.PublicKey, time.Hour)
+	if err != nil {
+		return nil, err
+	}
+	e := &e5Echo{}
+	cfg := &tls.Config{
+		MinVersion:             tls.VersionTLS12,
+		Certificates:           []tls.Certificate{{Certificate: [][]byte{cert.Raw}, PrivateKey: key}},
+		ClientAuth:             tls.RequireAndVerifyClientCert,
+		ClientCAs:              ca.Pool(),
+		SessionTicketsDisabled: !tickets,
+		VerifyConnection: func(cs tls.ConnectionState) error {
+			if cs.DidResume {
+				e.resumed.Add(1)
+			}
+			return nil
+		},
+	}
+	e.ln, err = tls.Listen("tcp", "127.0.0.1:0", cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.addr = e.ln.Addr().String()
+	go func() {
+		for {
+			conn, err := e.ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) { defer c.Close(); io.Copy(c, c) }(conn)
+		}
+	}()
+	return e, nil
+}
+
+// e5Dialer opens a client connection in one TLS placement.
+type e5Dialer struct {
+	name string
+	dial func(addr string) (net.Conn, error)
+}
+
+// e5Dialers returns the three placements: native (no enclave), private
+// key in the enclave, and the whole session in the enclave. With tickets
+// the native and key-in-enclave configs get a session cache, as the
+// credential enclave always has one inside.
+func e5Dialers(ce *enclaveapp.CredentialEnclave, nativeCfg, keyCfg *tls.Config, tickets bool) []e5Dialer {
+	if tickets {
+		nativeCfg, keyCfg = nativeCfg.Clone(), keyCfg.Clone()
+		nativeCfg.ClientSessionCache = tls.NewLRUClientSessionCache(1)
+		keyCfg.ClientSessionCache = tls.NewLRUClientSessionCache(1)
+	}
+	return []e5Dialer{
+		{"native (no enclave)", func(addr string) (net.Conn, error) { return tls.Dial("tcp", addr, nativeCfg) }},
+		{"key-in-enclave", func(addr string) (net.Conn, error) { return tls.Dial("tcp", addr, keyCfg) }},
+		{"full-session-in-enclave", func(addr string) (net.Conn, error) {
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return ce.DialTLS(raw, core.ServerName)
+		}},
+	}
+}
+
+// echoByte round-trips one byte, which also takes in the session ticket
+// a TLS 1.3 server sends after the handshake.
+func echoByte(conn net.Conn) error {
+	if _, err := conn.Write([]byte{1}); err != nil {
+		return err
+	}
+	_, err := io.ReadFull(conn, make([]byte, 1))
+	return err
+}
+
+// runE5 compares the TLS placements on full handshakes and bulk echo
+// against a ticketless server, then on resumed handshakes against a
+// ticket-issuing one.
 func runE5(runs int) (*metrics.Table, error) {
 	d, err := trusted(core.Options{})
 	if err != nil {
@@ -383,37 +475,16 @@ func runE5(runs int) (*metrics.Table, error) {
 		return nil, err
 	}
 	ca := d.VM.CA()
-
-	// Echo server.
-	serverKey, err := pki.GenerateKey()
+	full, err := startE5Echo(ca, false)
 	if err != nil {
 		return nil, err
 	}
-	serverCert, err := ca.IssueServerCert(core.ServerName, []string{core.ServerName}, []net.IP{net.IPv4(127, 0, 0, 1)}, &serverKey.PublicKey, time.Hour)
+	defer full.ln.Close()
+	resuming, err := startE5Echo(ca, true)
 	if err != nil {
 		return nil, err
 	}
-	srvCfg := &tls.Config{
-		MinVersion:   tls.VersionTLS12,
-		Certificates: []tls.Certificate{{Certificate: [][]byte{serverCert.Raw}, PrivateKey: serverKey}},
-		ClientAuth:   tls.RequireAndVerifyClientCert,
-		ClientCAs:    ca.Pool(),
-	}
-	ln, err := tls.Listen("tcp", "127.0.0.1:0", srvCfg)
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) { defer c.Close(); io.Copy(c, c) }(conn)
-		}
-	}()
-	addr := ln.Addr().String()
+	defer resuming.ln.Close()
 
 	nativeKey, err := pki.GenerateKey()
 	if err != nil {
@@ -435,34 +506,20 @@ func runE5(runs int) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dialers := []struct {
-		name string
-		dial func() (net.Conn, error)
-	}{
-		{"native (no enclave)", func() (net.Conn, error) { return tls.Dial("tcp", addr, nativeCfg) }},
-		{"key-in-enclave", func() (net.Conn, error) { return tls.Dial("tcp", addr, keyCfg) }},
-		{"full-session-in-enclave", func() (net.Conn, error) {
-			raw, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return ce.DialTLS(raw, core.ServerName)
-		}},
-	}
 	t := metrics.NewTable("E5 — TLS placement (n="+fmt.Sprint(runs)+")",
 		"placement", "handshake mean", "64KiB echo mean", "1KiB echo mean")
-	for _, dl := range dialers {
+	for _, dl := range e5Dialers(ce, nativeCfg, keyCfg, false) {
 		hs := metrics.NewHistogram("hs")
 		for i := 0; i < runs; i++ {
 			start := time.Now()
-			conn, err := dl.dial()
+			conn, err := dl.dial(full.addr)
 			if err != nil {
 				return nil, err
 			}
 			hs.Observe(time.Since(start))
 			conn.Close()
 		}
-		conn, err := dl.dial()
+		conn, err := dl.dial(full.addr)
 		if err != nil {
 			return nil, err
 		}
@@ -485,6 +542,32 @@ func runE5(runs int) (*metrics.Table, error) {
 		}
 		conn.Close()
 		t.AddRow(dl.name, ms(hs.Summarize().Mean), ms(xferMeans[64<<10]), ms(xferMeans[1<<10]))
+	}
+	// Resumed handshakes: a warm-up connection takes the first ticket,
+	// and every measured connection takes the next one after its timed
+	// handshake.
+	for _, dl := range e5Dialers(ce, nativeCfg, keyCfg, true) {
+		hs := metrics.NewHistogram("hs")
+		before := resuming.resumed.Load()
+		for i := -1; i < runs; i++ {
+			start := time.Now()
+			conn, err := dl.dial(resuming.addr)
+			if err != nil {
+				return nil, err
+			}
+			if i >= 0 {
+				hs.Observe(time.Since(start))
+			}
+			err = echoByte(conn)
+			conn.Close()
+			if err != nil {
+				return nil, err
+			}
+		}
+		if got := resuming.resumed.Load() - before; got != int64(runs) {
+			return nil, fmt.Errorf("E5 %s: %d of %d handshakes resumed", dl.name, got, runs)
+		}
+		t.AddRow(dl.name+", resumed", ms(hs.Summarize().Mean), "—", "—")
 	}
 	return t, nil
 }

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"context"
-	"crypto/x509"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -132,27 +131,4 @@ func (c *Controller) handleFlowList(w http.ResponseWriter, r *http.Request) {
 		out[f.Name] = f
 	}
 	writeJSON(w, map[string]map[string]FlowSpec{dpid: out})
-}
-
-// VerifyClientChain builds the trusted-HTTPS VerifyPeerCertificate hook:
-// chain validation against the trusted CA pool plus optional per-leaf
-// checks — revocation (CRL distributed by the Verification Manager) and
-// transparency-log inclusion (the leaf must carry provable issuance
-// evidence in the VM's audit log). Nil checks are skipped.
-func VerifyClientChain(roots *x509.CertPool, checks ...func(*x509.Certificate) error) func(rawCerts [][]byte, verifiedChains [][]*x509.Certificate) error {
-	return func(rawCerts [][]byte, verifiedChains [][]*x509.Certificate) error {
-		if len(verifiedChains) == 0 || len(verifiedChains[0]) == 0 {
-			return x509.CertificateInvalidError{Reason: x509.NotAuthorizedToSign}
-		}
-		leaf := verifiedChains[0][0]
-		for _, check := range checks {
-			if check == nil {
-				continue
-			}
-			if err := check(leaf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }

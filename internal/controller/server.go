@@ -13,6 +13,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"vnfguard/internal/obs"
 )
 
 // SecurityMode is one of Floodlight's three REST API security modes.
@@ -70,14 +72,15 @@ type ServerConfig struct {
 	// certificates (TrustKeystore).
 	Keystore map[string]bool
 	// Revoked, when set, rejects revoked client certificates. It is
-	// enforced at the TLS handshake and again on every request, so a
-	// revocation takes effect mid-session even on kept-alive connections.
+	// enforced at every TLS handshake, full or resumed, and again on
+	// every request, so a revocation takes effect mid-session even on
+	// kept-alive connections.
 	Revoked func(*x509.Certificate) error
 	// CredentialLog, when set, requires every trusted-mode client
-	// certificate to carry a verifiable inclusion proof in the
-	// Verification Manager's transparency log (translog.NewCredentialChecker):
-	// credentials the VM never logged are rejected even when correctly
-	// CA-signed.
+	// certificate to carry, at every handshake, a verifiable inclusion
+	// proof in the Verification Manager's transparency log
+	// (translog.NewCredentialChecker): credentials the VM never logged
+	// are rejected even when correctly CA-signed.
 	CredentialLog func(*x509.Certificate) error
 }
 
@@ -99,6 +102,21 @@ type Server struct {
 
 // ErrNotPinned reports a client certificate absent from the keystore.
 var ErrNotPinned = errors.New("controller: client certificate not in keystore")
+
+// errNoClientCert guards the leaf checks: the trusted-HTTPS client-auth
+// modes already refuse a handshake, full or resumed, without a client
+// certificate before the hook runs.
+var errNoClientCert = errors.New("controller: no client certificate")
+
+// Handshake telemetry: every trusted-HTTPS handshake that reaches the
+// leaf checks is counted by kind, accepted or refused, so an operator can
+// see how many connections resume a session ticket. Pre-resolved handles
+// (see internal/translog/telemetry.go for the contract).
+var (
+	handshakeHelp     = "Trusted-HTTPS client handshakes that reached the leaf checks, by kind."
+	mHandshakeFull    = obs.Default().Counter("controller_tls_handshakes_total", handshakeHelp, "kind", "full")
+	mHandshakeResumed = obs.Default().Counter("controller_tls_handshakes_total", handshakeHelp, "kind", "resumed")
+)
 
 // Serve starts the controller's REST endpoint on addr (e.g. 127.0.0.1:0).
 func Serve(ctrl *Controller, cfg ServerConfig, addr string) (*Server, error) {
@@ -149,45 +167,27 @@ func Serve(ctrl *Controller, cfg ServerConfig, addr string) (*Server, error) {
 			MinVersion:   tls.VersionTLS12,
 			Certificates: []tls.Certificate{cfg.Cert},
 		}
+		// The leaf checks run in VerifyConnection, which Go calls on every
+		// handshake, full or resumed from a session ticket; it skips
+		// VerifyPeerCertificate on a resumption. A ticket issued before a
+		// revocation therefore cannot carry the credential past it.
+		checks := []func(*x509.Certificate) error{cfg.Revoked, cfg.CredentialLog}
 		switch cfg.Trust {
 		case TrustCA:
 			if cfg.ClientCAs == nil {
 				ln.Close()
 				return nil, errors.New("controller: trusted mode requires ClientCAs")
 			}
+			// Chain validation stays with the TLS stack: a full handshake
+			// verifies the chain, and a ticket is only resumed when the
+			// session it came from carried a verified chain.
 			tcfg.ClientAuth = tls.RequireAndVerifyClientCert
 			tcfg.ClientCAs = cfg.ClientCAs
-			tcfg.VerifyPeerCertificate = VerifyClientChain(cfg.ClientCAs, cfg.Revoked, cfg.CredentialLog)
 		case TrustKeystore:
 			tcfg.ClientAuth = tls.RequireAnyClientCert
-			tcfg.VerifyPeerCertificate = func(rawCerts [][]byte, _ [][]*x509.Certificate) error {
-				if len(rawCerts) == 0 {
-					return ErrNotPinned
-				}
-				sum := sha256.Sum256(rawCerts[0])
-				s.mu.Lock()
-				ok := s.keystore[hex.EncodeToString(sum[:])]
-				s.mu.Unlock()
-				if !ok {
-					return ErrNotPinned
-				}
-				if cfg.Revoked != nil || cfg.CredentialLog != nil {
-					cert, err := x509.ParseCertificate(rawCerts[0])
-					if err != nil {
-						return err
-					}
-					if cfg.Revoked != nil {
-						if err := cfg.Revoked(cert); err != nil {
-							return err
-						}
-					}
-					if cfg.CredentialLog != nil {
-						return cfg.CredentialLog(cert)
-					}
-				}
-				return nil
-			}
+			checks = append([]func(*x509.Certificate) error{s.pinned}, checks...)
 		}
+		tcfg.VerifyConnection = verifyConnection(checks...)
 		s.ln = tls.NewListener(ln, tcfg)
 	default:
 		ln.Close()
@@ -198,12 +198,60 @@ func Serve(ctrl *Controller, cfg ServerConfig, addr string) (*Server, error) {
 	return s, nil
 }
 
+// pinned is the keystore check: the client certificate must be pinned.
+func (s *Server) pinned(cert *x509.Certificate) error {
+	fp := Fingerprint(cert)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.keystore[fp] {
+		return ErrNotPinned
+	}
+	return nil
+}
+
+// verifyConnection builds the trusted-HTTPS VerifyConnection hook: it
+// counts the handshake by kind, then runs the per-leaf checks in order —
+// keystore pin, revocation (the CRL distributed by the Verification
+// Manager) and transparency-log inclusion (the leaf must carry provable
+// issuance evidence in the VM's audit log). Nil checks are skipped.
+func verifyConnection(checks ...func(*x509.Certificate) error) func(tls.ConnectionState) error {
+	return func(cs tls.ConnectionState) error {
+		if cs.DidResume {
+			mHandshakeResumed.Inc()
+		} else {
+			mHandshakeFull.Inc()
+		}
+		if len(cs.PeerCertificates) == 0 {
+			return errNoClientCert
+		}
+		leaf := cs.PeerCertificates[0]
+		for _, check := range checks {
+			if check == nil {
+				continue
+			}
+			if err := check(leaf); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // PinCertificate adds a client certificate to the keystore (the manual
 // maintenance step the paper's CA design eliminates).
 func (s *Server) PinCertificate(cert *x509.Certificate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.keystore[Fingerprint(cert)] = true
+}
+
+// UnpinCertificate removes a client certificate from the keystore. The
+// pin is checked on every handshake, so sessions resumed from tickets
+// issued while it was pinned are refused too.
+func (s *Server) UnpinCertificate(cert *x509.Certificate) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.keystore, Fingerprint(cert))
 }
 
 // Addr returns the bound address.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"testing"
 
@@ -109,6 +110,12 @@ func TestRevocationAfterHostGone(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "certificate revoked anyway") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+	// The wipe error keeps its cause: the provisioning-channel sentinel
+	// and the host agent's network error behind it.
+	var netErr net.Error
+	if !errors.Is(err, verifier.ErrProvisionTimeout) || !errors.As(err, &netErr) {
+		t.Fatalf("wipe error lost its cause: %v", err)
 	}
 	if !d.VM.CA().IsRevoked(enr.Cert.SerialNumber) {
 		t.Fatal("certificate not revoked despite dead host")

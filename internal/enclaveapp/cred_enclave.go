@@ -4,6 +4,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/tls"
 	"crypto/x509"
 	"encoding/json"
 	"errors"
@@ -43,8 +44,8 @@ var (
 
 // CredentialEnclave wraps the launched per-VNF credential enclave (a TEE
 // in Figure 1). Long-lived secrets live in the encrypted enclave heap;
-// ephemeral session objects (the RA state machine, TLS connections) are
-// enclave-internal code state.
+// ephemeral session objects (the RA state machine, TLS connections, TLS
+// session tickets) are enclave-internal code state.
 type CredentialEnclave struct {
 	enclave  *sgx.Enclave
 	platform *sgx.Platform
@@ -58,6 +59,27 @@ type CredentialEnclave struct {
 	tlsMu    sync.Mutex
 	sessions map[uint32]*tlsSession
 	nextSess uint32
+	// tickets holds the TLS 1.3 session tickets the controller issued to
+	// in-enclave sessions, so a fresh connection resumes instead of
+	// repeating the full mutual handshake. The resumption secrets never
+	// leave the enclave, and the cache is replaced whenever the
+	// credential is (provisioning and the revoke wipe): a ticket never
+	// outlives the certificate it was issued to.
+	tickets tls.ClientSessionCache
+}
+
+// ticketCacheSize bounds the in-enclave ticket cache. Tickets are keyed
+// by server name, and a VNF talks to a handful of controllers at most.
+const ticketCacheSize = 4
+
+// dropTickets replaces the ticket cache with an empty one. It runs after
+// the credential changes: a handshake takes the cache before it reads the
+// key and certificate, so a handshake that saw the old credential holds
+// the old cache, which no later handshake can reach.
+func (ce *CredentialEnclave) dropTickets() {
+	ce.tlsMu.Lock()
+	ce.tickets = tls.NewLRUClientSessionCache(ticketCacheSize)
+	ce.tlsMu.Unlock()
 }
 
 // credentialCode returns the measured code bytes: the enclave version plus
@@ -76,6 +98,7 @@ func NewCredentialEnclave(p *sgx.Platform, signer *ecdsa.PrivateKey, vmPub *ecds
 		spid:     spid,
 		vmPub:    vmPub,
 		sessions: make(map[uint32]*tlsSession),
+		tickets:  tls.NewLRUClientSessionCache(ticketCacheSize),
 	}
 	spec := sgx.EnclaveSpec{
 		Name:       "credential",
@@ -249,14 +272,17 @@ func (ce *CredentialEnclave) dispatchRecord(ctx *sgx.Context, msgType uint8, pay
 		ctx.Delete(heapCert)
 		ctx.Delete(heapCA)
 		ctx.Delete(heapHMACKey)
+		ce.dropTickets()
 		return secchan.TypeAck, []byte("revoked"), nil
 	default:
 		return 0, nil, fmt.Errorf("enclaveapp: unexpected record type %d", msgType)
 	}
 }
 
-// storeCredentials validates and persists a provisioning payload.
+// storeCredentials validates and persists a provisioning payload. Every
+// provisioning, even a failed one, leaves an empty ticket cache behind.
 func (ce *CredentialEnclave) storeCredentials(ctx *sgx.Context, p *ProvisionPayload) error {
+	defer ce.dropTickets()
 	cert, err := x509.ParseCertificate(p.CertDER)
 	if err != nil {
 		return fmt.Errorf("enclaveapp: provisioned certificate: %w", err)

@@ -318,6 +318,18 @@ func provision(t *testing.T, vm *vmSide, ce *CredentialEnclave, ca *pki.CA, cn s
 		payload.CertDER = cert.Raw
 	}
 
+	sendProvision(t, vm, ce, &payload)
+	cert, err := x509.ParseCertificate(payload.CertDER)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cert
+}
+
+// sendProvision delivers a provisioning payload over the secure channel
+// and requires the enclave's ack.
+func sendProvision(t *testing.T, vm *vmSide, ce *CredentialEnclave, payload *ProvisionPayload) {
+	t.Helper()
 	body, err := payload.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -337,11 +349,6 @@ func provision(t *testing.T, vm *vmSide, ce *CredentialEnclave, ca *pki.CA, cn s
 	if typ != secchan.TypeAck {
 		t.Fatalf("provisioning response type %d: %s", typ, respPayload)
 	}
-	cert, err := x509.ParseCertificate(payload.CertDER)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cert
 }
 
 func newCredEnclave(t *testing.T, fx *fixture) *CredentialEnclave {
@@ -566,7 +573,9 @@ func TestHMACWithProvisionedKey(t *testing.T) {
 // --- in-enclave TLS -------------------------------------------------------------
 
 // startTLSServer runs a mutual-TLS echo server trusting ca for clients.
-func startTLSServer(t *testing.T, ca *pki.CA) (addr string, stop func()) {
+// It issues TLS 1.3 session tickets, as Go servers do by default; record,
+// when set, sees the state of every handshake, full or resumed.
+func startTLSServer(t *testing.T, ca *pki.CA, record func(tls.ConnectionState)) (addr string, stop func()) {
 	t.Helper()
 	serverKey, err := pki.GenerateKey()
 	if err != nil {
@@ -581,6 +590,12 @@ func startTLSServer(t *testing.T, ca *pki.CA) (addr string, stop func()) {
 		Certificates: []tls.Certificate{{Certificate: [][]byte{serverCert.Raw}, PrivateKey: serverKey}},
 		ClientAuth:   tls.RequireAndVerifyClientCert,
 		ClientCAs:    ca.Pool(),
+	}
+	if record != nil {
+		cfg.VerifyConnection = func(cs tls.ConnectionState) error {
+			record(cs)
+			return nil
+		}
 	}
 	ln, err := tls.Listen("tcp", "127.0.0.1:0", cfg)
 	if err != nil {
@@ -613,7 +628,7 @@ func provisionedEnclave(t *testing.T) (*fixture, *CredentialEnclave, *pki.CA, st
 	}
 	vm := runEnrollment(t, fx, ce)
 	provision(t, vm, ce, ca, "vnf-tls", ModeCSR)
-	addr, stop := startTLSServer(t, ca)
+	addr, stop := startTLSServer(t, ca, nil)
 	return fx, ce, ca, addr, stop
 }
 

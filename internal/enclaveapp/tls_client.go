@@ -164,9 +164,14 @@ func (ce *CredentialEnclave) handleTLSHandshake(ctx *sgx.Context, args []byte) (
 	if err := json.Unmarshal(args, &req); err != nil {
 		return nil, err
 	}
-	sess, err := ce.getSession(req.ID)
-	if err != nil {
-		return nil, err
+	// The ticket cache is taken before the credential is read (see
+	// dropTickets).
+	ce.tlsMu.Lock()
+	sess, ok := ce.sessions[req.ID]
+	tickets := ce.tickets
+	ce.tlsMu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("enclaveapp: unknown TLS session %d", req.ID)
 	}
 	key, err := ce.loadKey(ctx)
 	if err != nil {
@@ -186,10 +191,11 @@ func (ce *CredentialEnclave) handleTLSHandshake(ctx *sgx.Context, args []byte) (
 		roots.AddCert(ca)
 	}
 	cfg := &tls.Config{
-		MinVersion:   tls.VersionTLS12,
-		RootCAs:      roots,
-		ServerName:   req.ServerName,
-		Certificates: []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: key}},
+		MinVersion:         tls.VersionTLS12,
+		RootCAs:            roots,
+		ServerName:         req.ServerName,
+		Certificates:       []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: key}},
+		ClientSessionCache: tickets,
 	}
 	conn := tls.Client(&ocallConn{Conn: sess.raw, model: ce.platform.Model()}, cfg)
 	if err := conn.Handshake(); err != nil {

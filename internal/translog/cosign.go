@@ -535,17 +535,11 @@ type ConsistencyProver interface {
 // the log's own signature stopped being sufficient the moment the
 // deployment pinned a roster.
 func NewQuorumCredentialChecker(pub *ecdsa.PublicKey, roster *WitnessRoster, source ProofSource, proofs ConsistencyProver, cosigned CosignSource) func(*x509.Certificate) error {
+	v := &headVerifier{pub: pub}
 	return func(cert *x509.Certificate) error {
-		serial := cert.SerialNumber.String()
-		pb, err := source.ProveSerial(serial)
+		pb, err := v.proveCredential(source, cert)
 		if err != nil {
-			return fmt.Errorf("translog: credential %s: %w", serial, err)
-		}
-		if err := pb.Verify(pub); err != nil {
-			return fmt.Errorf("translog: credential %s: %w", serial, err)
-		}
-		if pb.Entry.Serial != serial || (pb.Entry.Type != EntryEnroll && pb.Entry.Type != EntryProvision) {
-			return fmt.Errorf("%w: proof bundle does not cover serial %s", ErrNotLogged, serial)
+			return err
 		}
 		ch, err := cosigned()
 		if err != nil {

@@ -656,6 +656,12 @@ func (pb *ProofBundle) Verify(pub *ecdsa.PublicKey) error {
 	if err := pb.STH.Verify(pub); err != nil {
 		return err
 	}
+	return pb.verifyInclusion()
+}
+
+// verifyInclusion checks the entry's leaf against the bundle's head
+// without checking the head's signature.
+func (pb *ProofBundle) verifyInclusion() error {
 	return VerifyInclusion(LeafHash(pb.Entry.Marshal()), pb.Index, pb.STH.Size, pb.Proof, pb.STH.RootHash)
 }
 

@@ -245,7 +245,7 @@ func (m *Manager) channelRound(rec *hostRecord, enr *Enrollment, sendType uint8,
 	}
 	respFrame, err := rec.conn.VNFFrame(enr.VNF, frame)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProvisionTimeout, err)
+		return nil, fmt.Errorf("%w: %w", ErrProvisionTimeout, err)
 	}
 	gotType, respPayload, err := enr.codec.Open(respFrame)
 	if err != nil {
