@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,11 +61,20 @@ type entryArena struct {
 // count returns the number of stored entries (cold prefix included).
 func (a *entryArena) count() uint64 { return a.base + uint64(len(a.offs)) }
 
-// add appends one canonical encoding (copying it out of the caller's
-// buffer).
-func (a *entryArena) add(payload []byte) {
-	a.offs = append(a.offs, uint64(len(a.data)))
-	a.data = append(a.data, payload...)
+// add appends a batch of canonical encodings (copying them out of the
+// caller's buffers), growing the arena once for the whole batch;
+// slices.Grow keeps the growth amortised for one-entry batches.
+func (a *entryArena) add(payloads [][]byte) {
+	size := 0
+	for _, p := range payloads {
+		size += len(p)
+	}
+	a.data = slices.Grow(a.data, size)
+	a.offs = slices.Grow(a.offs, len(payloads))
+	for _, p := range payloads {
+		a.offs = append(a.offs, uint64(len(a.data)))
+		a.data = append(a.data, p...)
+	}
 }
 
 // payload returns the stored canonical encoding of entry i (callers
@@ -104,22 +114,12 @@ func (a *entryArena) truncate(n uint64) {
 // splice prepends the hydrated cold payloads (global indices
 // [0, base)) and makes the arena fully resident.
 func (a *entryArena) splice(cold [][]byte) {
-	sz := uint64(0)
-	for _, p := range cold {
-		sz += uint64(len(p))
+	all := slices.Clip(cold)
+	for i := a.base; i < a.count(); i++ {
+		all = append(all, a.payload(i))
 	}
-	data := make([]byte, 0, sz+uint64(len(a.data)))
-	offs := make([]uint64, 0, len(cold)+len(a.offs))
-	for _, p := range cold {
-		offs = append(offs, uint64(len(data)))
-		data = append(data, p...)
-	}
-	for _, off := range a.offs {
-		offs = append(offs, off+sz)
-	}
-	a.data = append(data, a.data...)
-	a.offs = offs
-	a.base = 0
+	*a = entryArena{}
+	a.add(all)
 }
 
 // signingDigest is the SHA-256 the STH signature covers.
@@ -279,9 +279,7 @@ func (l *Log) appendPrepared(batch []Entry, payloads [][]byte, hashes []Hash, tr
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	first := l.entries.count()
-	for _, p := range payloads {
-		l.entries.add(p)
-	}
+	l.entries.add(payloads)
 	phase := time.Now()
 	size := l.tree.appendParallel(hashes, prepareWorkers())
 	// The commit must be atomic: a failure after the tree grew would
@@ -471,6 +469,17 @@ func (l *Log) withHydration(fn func() error) error {
 	return fn()
 }
 
+// hydrated is withHydration for a read that returns a value.
+func hydrated[T any](l *Log, fn func() (T, error)) (T, error) {
+	var v T
+	err := l.withHydration(func() error {
+		var ferr error
+		v, ferr = fn()
+		return ferr
+	})
+	return v, err
+}
+
 // indexEntry maintains the serial-keyed lookup maps for one committed
 // entry. Callers hold l.mu (or own the log exclusively during recovery).
 func (l *Log) indexEntry(e Entry, idx uint64) {
@@ -542,48 +551,38 @@ func (l *Log) Size() uint64 {
 
 // Entry returns the committed entry at index.
 func (l *Log) Entry(index uint64) (Entry, error) {
-	var e Entry
-	err := l.withHydration(func() error {
+	return hydrated(l, func() (Entry, error) {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
 		if index >= l.entries.count() {
-			return ErrIndexRange
+			return Entry{}, ErrIndexRange
 		}
 		if index < l.entries.base {
-			return errColdRange
+			return Entry{}, errColdRange
 		}
-		e = l.entries.at(index)
-		return nil
+		return l.entries.at(index), nil
 	})
-	if err != nil {
-		return Entry{}, err
-	}
-	return e, nil
 }
 
 // Entries returns committed entries in [start, start+count), clamped to
 // the log size.
 func (l *Log) Entries(start, count uint64) []Entry {
-	var out []Entry
-	_ = l.withHydration(func() error {
+	out, _ := hydrated(l, func() ([]Entry, error) {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
 		n := l.entries.count()
 		if start >= n || count == 0 {
-			return nil
+			return nil, nil
 		}
 		if start < l.entries.base {
-			return errColdRange
+			return nil, errColdRange
 		}
-		end := n
-		if count < n-start {
-			end = start + count
-		}
-		out = make([]Entry, 0, end-start)
+		end := start + min(count, n-start)
+		out := make([]Entry, 0, end-start)
 		for i := start; i < end; i++ {
 			out = append(out, l.entries.at(i))
 		}
-		return nil
+		return out, nil
 	})
 	return out
 }
@@ -598,16 +597,7 @@ func (l *Log) Entries(start, count uint64) []Entry {
 // batch holds across its WAL fsync. A proof touching hashes that were
 // compacted below the checkpoint triggers hydration and retries.
 func (l *Log) InclusionProof(index, size uint64) ([]Hash, error) {
-	var proof []Hash
-	err := l.withHydration(func() error {
-		var ferr error
-		proof, ferr = l.tree.inclusionProof(index, size)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return proof, nil
+	return hydrated(l, func() ([]Hash, error) { return l.tree.inclusionProof(index, size) })
 }
 
 // ConsistencyProof proves the tree at size first is a prefix of the tree
@@ -616,28 +606,13 @@ func (l *Log) ConsistencyProof(first, second uint64) ([]Hash, error) {
 	if first == 0 {
 		return nil, nil
 	}
-	var proof []Hash
-	err := l.withHydration(func() error {
-		var ferr error
-		proof, ferr = l.tree.consistencyProof(first, second)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return proof, nil
+	return hydrated(l, func() ([]Hash, error) { return l.tree.consistencyProof(first, second) })
 }
 
 // RootAt recomputes the root at a historical size (used by tests and the
 // example walkthrough; auditors use signed tree heads instead).
 func (l *Log) RootAt(size uint64) (Hash, error) {
-	var root Hash
-	err := l.withHydration(func() error {
-		var ferr error
-		root, ferr = l.tree.rootAt(size)
-		return ferr
-	})
-	return root, err
+	return hydrated(l, func() (Hash, error) { return l.tree.rootAt(size) })
 }
 
 // ProofBundle packages everything a relying party needs to check that one
@@ -679,15 +654,7 @@ func (l *Log) ProveSerial(serial string) (*ProofBundle, error) {
 	}
 	// The audit path is computed against the snapshotted head without
 	// re-taking the log lock (see InclusionProof).
-	err = l.withHydration(func() error {
-		proof, perr := l.tree.inclusionProof(pb.Index, pb.STH.Size)
-		if perr != nil {
-			return perr
-		}
-		pb.Proof = proof
-		return nil
-	})
-	if err != nil {
+	if pb.Proof, err = l.InclusionProof(pb.Index, pb.STH.Size); err != nil {
 		return nil, err
 	}
 	return pb, nil
@@ -709,15 +676,13 @@ func (l *Log) lookupBundle(serial string) (*ProofBundle, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: serial %s", ErrNotLogged, serial)
 	}
-	var e Entry
-	err := l.withHydration(func() error {
+	e, err := hydrated(l, func() (Entry, error) {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
 		if idx < l.entries.base {
-			return errColdRange
+			return Entry{}, errColdRange
 		}
-		e = l.entries.at(idx)
-		return nil
+		return l.entries.at(idx), nil
 	})
 	if err != nil {
 		return nil, err

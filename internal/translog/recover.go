@@ -583,10 +583,10 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	}
 	for i, e := range rec.entries {
 		l.indexEntry(e, base+uint64(i))
-		// The arena adopts the replayed canonical bytes — the same bytes
-		// the recovery pass hashed into the rebuilt tree.
-		l.entries.add(rec.payloads[i])
 	}
+	// The arena adopts the replayed canonical bytes — the same bytes the
+	// recovery pass hashed into the rebuilt tree.
+	l.entries.add(rec.payloads)
 	size := rec.size()
 	sth := rec.sth
 	if rec.sthStale {
@@ -619,7 +619,8 @@ func OpenDurableLog(signer crypto.Signer, dir string, cfg StoreConfig) (*Log, er
 	// Resume tile publication where the previous incarnation stopped:
 	// the watermark keeps a reopen from re-deriving (and re-writing)
 	// thousands of byte-identical tiles, and from hydrating the cold
-	// prefix just to cover tiles that are already on disk.
+	// prefix just to cover tiles that are already on disk (a mark
+	// without the level-0 pack reads as 0, see loadTileMark).
 	l.tileMark.Store(store.loadTileMark())
 	if l.tilesDue(size) && l.tileBusy.CompareAndSwap(false, true) {
 		l.tileWG.Add(1)

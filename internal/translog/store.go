@@ -142,6 +142,11 @@ type Store struct { //lint:allow unusedexport the documented storage layer benea
 	// compactMu serialises compaction runs against cold-prefix reads,
 	// so hydration never races a segment unlink.
 	compactMu sync.Mutex
+	// packMu guards the tile cache's per-level pack handles (opened
+	// lazily by tilePack, closed by Close), never the pack I/O.
+	packMu      sync.Mutex
+	packs       [maxTileLevel + 1]*os.File
+	packsClosed bool
 
 	mu sync.Mutex
 	// shards is the active layout: 0 for the legacy single stream,
@@ -545,15 +550,24 @@ func (s *Store) Size() uint64 {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close fsyncs and closes the active segment and releases any anchors
-// holding resources. A closed store latches failed, so a stray later
-// append errors instead of silently forking a new segment.
+// Close fsyncs and closes the active segment, closes the tile packs and
+// releases any anchors holding resources. A closed store latches
+// failed, so a stray later append errors instead of silently forking a
+// new segment.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failed == nil {
 		s.failed = fmt.Errorf("%w: store closed", ErrStoreFailed)
 	}
+	s.packMu.Lock()
+	for _, f := range s.packs {
+		if f != nil {
+			f.Close()
+		}
+	}
+	s.packsClosed = true // later cache reads miss, later writes fail
+	s.packMu.Unlock()
 	var err error
 	for _, a := range s.anchors {
 		if c, ok := a.(io.Closer); ok {

@@ -30,15 +30,16 @@ import (
 // URL still names immutable content (append-only levels never rewrite
 // a node), just short-lived in caches because clients soon want wider.
 //
-// On a durable log, full tiles are persisted into <dir>/tiles/ by a
-// background publisher that runs off the commit path (like the
-// checkpoint writer), so serving a frozen-range tile is one file read:
-// no tree access, no hashing, no log lock — pinned by
+// On a durable log, full tiles are persisted into <dir>/tiles/ — one
+// pack file per tile level — by a background publisher that runs off
+// the commit path (like the checkpoint writer), so serving a
+// frozen-range tile is one checksum-verified record read: no tree
+// access, no hashing, no log lock — pinned by
 // TestTileServingTakesNoCommitLockAndHashesNothing and the lockscope
-// lint rule. The files are a rebuildable cache, not trust state (a
+// lint rule. The packs are a rebuildable cache, not trust state (a
 // served tile is only believed through the proofs it assembles into,
 // verified against a signed head), so they are written without fsync
-// and a damaged file is simply rebuilt from the tree or the hydrated
+// and a damaged record is simply rebuilt from the tree or the hydrated
 // .arc archives.
 
 const (
@@ -69,8 +70,8 @@ type Tile struct {
 // full tile).
 func (t *Tile) Width() int { return len(t.Hashes) }
 
-// tileMagic identifies the tile wire/file framing (and its version),
-// following the checkpoint.bin / .arc conventions.
+// tileMagic identifies the tile wire and pack-record framing (and its
+// version), following the checkpoint.bin / .arc conventions.
 var tileMagic = [8]byte{'V', 'N', 'F', 'G', 'T', 'I', 'L', '1'}
 
 // encodeTile renders the checksummed framing: magic ‖ level(8) ‖
@@ -134,56 +135,87 @@ func fullTileCount(n, level uint64) uint64 {
 	return n >> (TileHeight * (level + 1))
 }
 
-// Statedir tile cache. Tile files live under <dir>/tiles/ next to the
-// WAL segments and archives; the published watermark (the committed
-// size the publisher has covered) rides in its own small file so a
-// reopened log resumes publishing where it stopped instead of
-// re-statting thousands of tiles.
+// Statedir tile cache, under <dir>/tiles/: one pack file per tile
+// level, holding full tile (L, K) as the fixed-size encodeTile record
+// at offset K·tileRecordSize of level-<L>.pack — positioned writes into
+// a handful of files instead of one file creation per tile. The
+// published watermark (the committed size the publisher has covered)
+// rides in its own small file so a reopened log resumes publishing
+// where it stopped.
 
 const (
 	tilesDirName     = "tiles"
 	tileMarkFileName = "published"
+	// tileRecordSize is len(encodeTile) of a full tile.
+	tileRecordSize = int64(len(tileMagic)) + 20 + TileWidth*int64(len(Hash{})) + 4
 )
 
-// tileFileName renders the cache file name for tile (level, index).
-func tileFileName(level, index uint64) string {
-	return fmt.Sprintf("tile-%d-%020d.til", level, index)
+// tilePackName renders the pack file name for a tile level.
+func tilePackName(level uint64) string { return fmt.Sprintf("level-%d.pack", level) }
+
+// tilePack returns level's pack, opening (creating) it on first use;
+// nil once the store is closed or if the pack cannot be opened.
+func (s *Store) tilePack(level uint64) *os.File {
+	s.packMu.Lock()
+	defer s.packMu.Unlock()
+	if s.packs[level] == nil && !s.packsClosed {
+		dir := filepath.Join(s.dir, tilesDirName)
+		if os.MkdirAll(dir, 0o700) == nil {
+			//lint:allow atomicwrite rebuildable cache: every record is checksummed and self-naming, so a torn or stale one reads as a miss; fsync durability not wanted
+			s.packs[level], _ = os.OpenFile(filepath.Join(dir, tilePackName(level)), os.O_RDWR|os.O_CREATE, 0o600)
+		}
+	}
+	return s.packs[level]
 }
 
-func (s *Store) tilePath(level, index uint64) string {
-	return filepath.Join(s.dir, tilesDirName, tileFileName(level, index))
-}
-
-// readTile loads one full tile from the cache; ok=false on any miss or
-// damage (the cache is rebuildable, so a bad file is just a miss).
+// readTile loads one full tile from its level's pack; ok=false on any
+// miss or damage — a hole, a torn record, one naming other coordinates
+// (the cache is rebuildable, so a bad record is just a miss).
 func (s *Store) readTile(level, index uint64) (*Tile, bool) {
-	data, err := os.ReadFile(s.tilePath(level, index))
-	if err != nil {
+	f := s.tilePack(level)
+	if f == nil {
 		return nil, false
 	}
-	t, err := decodeTile(data)
+	buf := make([]byte, tileRecordSize)
+	if _, err := f.ReadAt(buf, int64(index)*tileRecordSize); err != nil {
+		return nil, false
+	}
+	t, err := decodeTile(buf)
 	if err != nil || t.Level != level || t.Index != index || t.Width() != TileWidth {
 		return nil, false
 	}
 	return t, true
 }
 
-// writeTile persists one full tile. No fsync: the tiles are a cache
-// rebuilt from the tree (or the hydrated archives) on demand, so
-// durability buys nothing here and the publisher stays cheap; the
-// atomic rename still guarantees readers never see a torn file.
+// writeTile persists one full tile as its pack record, without fsync:
+// the packs are a cache rebuilt from the tree (or the hydrated
+// archives) on demand, and a reader racing this write or a crash
+// tearing it sees a record failing its checksum — a miss.
 func (s *Store) writeTile(t *Tile) error {
-	dir := filepath.Join(s.dir, tilesDirName)
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return fmt.Errorf("translog: creating tiles dir: %w", err)
+	f := s.tilePack(t.Level)
+	if f == nil {
+		return fmt.Errorf("translog: tile pack for level %d unavailable", t.Level)
 	}
-	//lint:allow atomicwrite rebuildable cache: rename atomicity wanted, fsync durability not
-	return atomicWriteFile(filepath.Join(dir, tileFileName(t.Level, t.Index)), encodeTile(t), false)
+	_, err := f.WriteAt(encodeTile(t), int64(t.Index)*tileRecordSize)
+	return err
 }
 
-// loadTileMark reads the published watermark (0 when none).
+// loadTileMark reads the published watermark, trusted only beside the
+// level-0 pack: a statedir from the one-file-per-tile layout (or with
+// its packs deleted) drops its mark and starts at 0, so the publisher
+// refills the packs. The old layout's tile-*.til and *.til.tmp files
+// are removed, best effort.
 func (s *Store) loadTileMark() uint64 {
-	data, err := os.ReadFile(filepath.Join(s.dir, tilesDirName, tileMarkFileName))
+	dir := filepath.Join(s.dir, tilesDirName)
+	old, _ := filepath.Glob(filepath.Join(dir, "*.til*"))
+	for _, p := range old {
+		os.Remove(p)
+	}
+	if _, err := os.Stat(filepath.Join(dir, tilePackName(0))); err != nil {
+		os.Remove(filepath.Join(dir, tileMarkFileName))
+		return 0
+	}
+	data, err := os.ReadFile(filepath.Join(dir, tileMarkFileName))
 	if err != nil {
 		return 0
 	}
@@ -195,30 +227,38 @@ func (s *Store) loadTileMark() uint64 {
 }
 
 // storeTileMark persists the published watermark (best effort, no
-// fsync — a stale mark only costs republishing byte-identical tiles).
+// fsync — a stale mark only costs republishing byte-identical tiles;
+// without a tiles dir there is no pack the mark could vouch for).
 func (s *Store) storeTileMark(n uint64) {
-	dir := filepath.Join(s.dir, tilesDirName)
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return
-	}
 	//lint:allow atomicwrite rebuildable cache watermark: rename atomicity wanted, fsync durability not
-	_ = atomicWriteFile(filepath.Join(dir, tileMarkFileName), []byte(strconv.FormatUint(n, 10)), false)
+	_ = atomicWriteFile(filepath.Join(s.dir, tilesDirName, tileMarkFileName), []byte(strconv.FormatUint(n, 10)), false)
 }
 
 // Tile returns the tile at (level, index), carrying exactly width node
 // hashes. Full-tile requests (width == TileWidth) on a durable log are
-// served from the statedir tile cache first — one file read, no tree
-// access, no hashing, and never the log's commit lock, so tile traffic
-// cannot contend with a commit holding that lock across its WAL fsync.
-// A miss (or any partial-tile request) extracts the hashes from the
-// tree under the tree's own read lock — still zero hashing, every
-// interior level is resident — hydrating the cold prefix from the .arc
-// archives when the range sits below a checkpoint, and writes full
-// tiles back through to the cache. Requests past the committed head
-// return ErrTileRange.
+// served from the statedir tile cache first — one record read from the
+// level's pack, no tree access, no hashing, and never the log's commit
+// lock, so tile traffic cannot contend with a commit holding that lock
+// across its WAL fsync. A miss (or any partial-tile request) extracts
+// the hashes from the tree under the tree's own read lock — still zero
+// hashing, every interior level is resident — hydrating the cold
+// prefix from the .arc archives when the range sits below a
+// checkpoint, and writes full tiles back through to the cache.
+// Requests past the committed head return ErrTileRange.
 func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {
 	if level > maxTileLevel || width <= 0 || width > TileWidth {
 		return nil, fmt.Errorf("%w: level %d width %d", ErrTileRange, level, width)
+	}
+	// Bound the request by the committed head (an atomic, not the log
+	// lock): the tree may momentarily hold nodes of a batch that is
+	// still fsyncing and could yet roll back, and an immutable-cacheable
+	// response must never leak those. Checking index first keeps
+	// index·TileWidth from wrapping onto a real tile.
+	n := tileNodeCount(l.committed.Load(), level)
+	lo := index * TileWidth
+	hi := lo + uint64(width)
+	if index > n/TileWidth || hi > n {
+		return nil, fmt.Errorf("%w: tile (%d, %d) width %d", ErrTileRange, level, index, width)
 	}
 	full := width == TileWidth
 	if full && l.store != nil {
@@ -228,27 +268,13 @@ func (l *Log) Tile(level, index uint64, width int) (*Tile, error) {
 		}
 		mTileCacheMisses.Inc()
 	}
-	// Bound the request by the committed head (an atomic, not the log
-	// lock): the tree may momentarily hold nodes of a batch that is
-	// still fsyncing and could yet roll back, and an immutable-cacheable
-	// response must never leak those.
-	lo := index * TileWidth
-	hi := lo + uint64(width)
-	if hi > tileNodeCount(l.committed.Load(), level) {
-		return nil, fmt.Errorf("%w: tile (%d, %d) width %d", ErrTileRange, level, index, width)
-	}
-	var hashes []Hash
-	err := l.withHydration(func() error {
-		var terr error
-		hashes, terr = l.tree.nodes(int(level)*TileHeight, lo, hi)
-		return terr
-	})
+	hashes, err := hydrated(l, func() ([]Hash, error) { return l.tree.nodes(int(level)*TileHeight, lo, hi) })
 	if err != nil {
 		return nil, err
 	}
 	t := &Tile{Level: level, Index: index, Hashes: hashes}
 	if full && l.store != nil && l.tileWriteMu.TryLock() {
-		// Write-through so the next request is a file read. Best effort:
+		// Write-through so the next request is a pack read. Best effort:
 		// a failed cache write must not fail the tile it caches, and a
 		// request never waits for another cache writer — skipping the
 		// write costs at most one more miss.
@@ -288,18 +314,11 @@ func (l *Log) PublishTiles() error {
 	defer l.tileWriteMu.Unlock()
 	n := l.committed.Load()
 	mark := l.tileMark.Load()
-	for level := uint64(0); level <= maxTileLevel; level++ {
-		want := fullTileCount(n, level)
-		if want == 0 {
-			break
-		}
-		for index := fullTileCount(mark, level); index < want; index++ {
+	for level := uint64(0); level <= maxTileLevel && fullTileCount(n, level) > 0; level++ {
+		for index := fullTileCount(mark, level); index < fullTileCount(n, level); index++ {
 			lo := index * TileWidth
-			var hashes []Hash
-			err := l.withHydration(func() error {
-				var terr error
-				hashes, terr = l.tree.nodes(int(level)*TileHeight, lo, lo+TileWidth)
-				return terr
+			hashes, err := hydrated(l, func() ([]Hash, error) {
+				return l.tree.nodes(int(level)*TileHeight, lo, lo+TileWidth)
 			})
 			if err != nil {
 				return err

@@ -2,11 +2,14 @@ package translog
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -306,7 +309,7 @@ func TestColdRangeTileServing(t *testing.T) {
 // TestTilePublisherBackgroundAndResume covers the off-commit-path
 // publisher: commits that complete a tile trigger it, the watermark
 // persists, a reopened log resumes instead of republishing, and the
-// published files byte-match what Tile serves.
+// published pack records byte-match what Tile serves.
 func TestTilePublisherBackgroundAndResume(t *testing.T) {
 	key := testSigner(t)
 	dir := t.TempDir()
@@ -320,12 +323,14 @@ func TestTilePublisherBackgroundAndResume(t *testing.T) {
 	if err := l.Close(); err != nil { // Close drains the background publisher
 		t.Fatal(err)
 	}
-	if mark := (&Store{dir: dir}).loadTileMark(); mark != 600 {
+	closed := &Store{dir: dir}
+	defer closed.Close()
+	if mark := closed.loadTileMark(); mark != 600 {
 		t.Fatalf("published watermark %d, want 600", mark)
 	}
 	for index := uint64(0); index < 2; index++ {
-		if _, err := os.Stat((&Store{dir: dir}).tilePath(0, index)); err != nil {
-			t.Fatalf("published tile (0, %d) missing: %v", index, err)
+		if _, ok := closed.readTile(0, index); !ok {
+			t.Fatalf("published tile (0, %d) missing from its pack", index)
 		}
 	}
 
@@ -345,12 +350,8 @@ func TestTilePublisherBackgroundAndResume(t *testing.T) {
 	if mTilesPublished.Value() != published {
 		t.Fatal("cache hit still republished the tile")
 	}
-	data, err := os.ReadFile(re.store.tilePath(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(encodeTile(tile)) {
-		t.Fatal("served tile bytes differ from the published file")
+	if got := packRecord(t, dir, 0, 0); string(got) != string(encodeTile(tile)) {
+		t.Fatal("served tile bytes differ from the published pack record")
 	}
 }
 
@@ -358,10 +359,10 @@ func TestTilePublisherBackgroundAndResume(t *testing.T) {
 // no-contention claim two ways at once: a below-watermark full tile is
 // served through the HTTP handler while the test holds the log's commit
 // lock (so any acquisition — including the hydration path's — would
-// deadlock and time the request out), and the cache file has been
+// deadlock and time the request out), and its pack record has been
 // overwritten with distinctive valid-CRC bytes beforehand, so getting
-// those bytes back verbatim proves the response came from one file read
-// — no tree access, no hashing.
+// those bytes back verbatim proves the response came from one pack
+// record read — no tree access, no hashing.
 func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 	key := testSigner(t)
 	l, err := OpenDurableLog(key, t.TempDir(), StoreConfig{NoSync: true})
@@ -375,14 +376,14 @@ func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 	}
 
 	// Plant a marker tile: same coordinates, distinctive hashes. The
-	// framing is valid, so only the file-read path can produce it.
+	// framing is valid, so only the pack-read path can produce it.
 	marker := &Tile{Level: 0, Index: 0, Hashes: make([]Hash, TileWidth)}
 	for i := range marker.Hashes {
 		for j := range marker.Hashes[i] {
 			marker.Hashes[i][j] = 0xA5
 		}
 	}
-	if err := os.WriteFile(l.store.tilePath(0, 0), encodeTile(marker), 0o600); err != nil {
+	if err := l.store.writeTile(marker); err != nil {
 		t.Fatal(err)
 	}
 
@@ -405,7 +406,7 @@ func TestTileServingTakesNoCommitLockAndHashesNothing(t *testing.T) {
 	case tile := <-got:
 		if string(encodeTile(tile)) != string(encodeTile(marker)) {
 			l.mu.Unlock()
-			t.Fatal("tile not served verbatim from the cache file")
+			t.Fatal("tile not served verbatim from the pack record")
 		}
 	case err := <-fail:
 		l.mu.Unlock()
@@ -463,6 +464,9 @@ func TestTileHTTPCacheHeaders(t *testing.T) {
 		{"/translog/v1/entries?start=0&count=0", 200, cacheNoCache},
 		{"/translog/v1/inclusion?index=3&size=600", 200, cacheImmutable},
 		{"/translog/v1/consistency?first=10&second=600", 200, cacheImmutable},
+
+		// 2^56·256 wraps a uint64 to 0: must not serve tile 0's hashes.
+		{"/translog/v1/tile/0/72057594037927936", 404, ""},
 	}
 	for _, c := range cases {
 		resp, cache := get(c.path)
@@ -605,5 +609,289 @@ func TestGossipTileProofs(t *testing.T) {
 	hits, misses := pool.tiles.Stats()
 	if hits+misses == 0 {
 		t.Fatal("tile assembler never consulted for the advance")
+	}
+}
+
+// packRecord returns the raw record of tile (level, index) from its
+// level's pack under the store directory dir.
+func packRecord(t *testing.T, dir string, level, index uint64) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, tilesDirName, tilePackName(level)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(index) * tileRecordSize
+	if int64(len(data)) < off+tileRecordSize {
+		t.Fatalf("pack of level %d holds no record %d (%d bytes)", level, index, len(data))
+	}
+	return data[off : off+tileRecordSize]
+}
+
+// TestTilePackDamageIsAMiss covers every way a pack record can be wrong
+// — a hole left by a write-through past what the pack holds, a
+// truncated pack, a zeroed record, a garbage record, and a valid record
+// copied from another index. Each must read as a cache miss, be served
+// byte-identical to the tree's tile, and be rewritten so the next read
+// is a hit.
+func TestTilePackDamageIsAMiss(t *testing.T) {
+	key := testSigner(t)
+	entries := mixedEntries(3*TileWidth + 40) // level-0 tiles 0..2 are full
+	ref, err := NewLog(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.AppendBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	overwrite := func(t *testing.T, pack string, data []byte, off int64) {
+		t.Helper()
+		f, err := os.OpenFile(pack, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(data, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name   string
+		index  uint64 // the damaged tile
+		damage func(t *testing.T, l *Log, pack string)
+	}{
+		{"hole", 1, func(t *testing.T, l *Log, pack string) {
+			// Keep only record 0, then let a write-through of tile 2
+			// extend the pack around a zero-filled hole at record 1.
+			if err := os.Truncate(pack, tileRecordSize); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Tile(0, 2, TileWidth); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := l.store.readTile(0, 2); !ok {
+				t.Fatal("write-through past the pack's end was not cached")
+			}
+		}},
+		{"truncated", 2, func(t *testing.T, _ *Log, pack string) {
+			if err := os.Truncate(pack, 2*tileRecordSize+tileRecordSize/2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"zeroed", 1, func(t *testing.T, _ *Log, pack string) {
+			overwrite(t, pack, make([]byte, tileRecordSize), tileRecordSize)
+		}},
+		{"garbage", 1, func(t *testing.T, _ *Log, pack string) {
+			junk := make([]byte, tileRecordSize)
+			for i := range junk {
+				junk[i] = byte(i*131 + 7)
+			}
+			overwrite(t, pack, junk, tileRecordSize)
+		}},
+		{"other-index", 1, func(t *testing.T, _ *Log, pack string) {
+			// A well-formed, checksummed record — of tile 0.
+			overwrite(t, pack, packRecord(t, filepath.Dir(filepath.Dir(pack)), 0, 0), tileRecordSize)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := OpenDurableLog(key, dir, StoreConfig{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if _, err := l.AppendBatch(entries); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.PublishTiles(); err != nil {
+				t.Fatal(err)
+			}
+			// No background publisher may hold the write-through lock.
+			l.tileWG.Wait()
+			tc.damage(t, l, filepath.Join(dir, tilesDirName, tilePackName(0)))
+
+			if _, ok := l.store.readTile(0, tc.index); ok {
+				t.Fatal("damaged record read as a cache hit")
+			}
+			want, err := ref.Tile(0, tc.index, TileWidth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			misses, hits := mTileCacheMisses.Value(), mTileCacheHits.Value()
+			got, err := l.Tile(0, tc.index, TileWidth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mTileCacheMisses.Value() != misses+1 {
+				t.Fatal("damaged record not counted as a cache miss")
+			}
+			if string(encodeTile(got)) != string(encodeTile(want)) {
+				t.Fatal("tile served over a damaged record differs from the tree's")
+			}
+			if string(packRecord(t, dir, 0, tc.index)) != string(encodeTile(want)) {
+				t.Fatal("damaged record was not rewritten")
+			}
+			if _, err := l.Tile(0, tc.index, TileWidth); err != nil {
+				t.Fatal(err)
+			}
+			if mTileCacheHits.Value() != hits+1 {
+				t.Fatal("rewritten record is not a cache hit")
+			}
+		})
+	}
+}
+
+// TestTilePackUpgradeFromPerTileFiles stages a statedir in the
+// one-file-per-tile layout — loose tile-*.til files, a stray .til.tmp
+// and a watermark covering them, but no packs — and reopens it: the
+// mark is not trusted without the level-0 pack, so the publisher
+// refills the packs and every full tile is a pack hit, and the loose
+// files are gone.
+func TestTilePackUpgradeFromPerTileFiles(t *testing.T) {
+	key := testSigner(t)
+	dir := t.TempDir()
+	cfg := StoreConfig{NoSync: true}
+	const n = 600
+	l, err := OpenDurableLog(key, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, mixedEntries(n))
+	var loose []*Tile
+	for index := uint64(0); index < fullTileCount(n, 0); index++ {
+		tile, err := l.Tile(0, index, TileWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loose = append(loose, tile)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tiles := filepath.Join(dir, tilesDirName)
+	packs, err := filepath.Glob(filepath.Join(tiles, "level-*.pack"))
+	if err != nil || len(packs) == 0 {
+		t.Fatalf("no packs to remove: %v %v", packs, err)
+	}
+	for _, p := range packs {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tile := range loose {
+		name := fmt.Sprintf("tile-%d-%020d.til", tile.Level, tile.Index)
+		if err := os.WriteFile(filepath.Join(tiles, name), encodeTile(tile), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(tiles, "tile-0-00000000000000000002.til.tmp"), []byte("torn"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if mark, err := os.ReadFile(filepath.Join(tiles, tileMarkFileName)); err != nil || string(mark) != "600" {
+		t.Fatalf("staged watermark %q (%v), want 600", mark, err)
+	}
+
+	re, err := OpenDurableLog(key, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := re.PublishTiles(); err != nil {
+		t.Fatal(err)
+	}
+	for level := uint64(0); fullTileCount(n, level) > 0; level++ {
+		for index := uint64(0); index < fullTileCount(n, level); index++ {
+			if _, ok := re.store.readTile(level, index); !ok {
+				t.Fatalf("tile (%d, %d) is not a pack hit after the upgrade", level, index)
+			}
+		}
+	}
+	left, err := filepath.Glob(filepath.Join(tiles, "*.til*"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("old-layout files left behind: %v %v", left, err)
+	}
+}
+
+// TestTilePackConcurrentPublishReadClose races a looping publisher and
+// tile readers against Log.Close under -race: a Tile call on the closed
+// log falls back to the tree or errors, never panics, and everything
+// served, before or after Close, is byte-identical to the tree's tile.
+func TestTilePackConcurrentPublishReadClose(t *testing.T) {
+	key := testSigner(t)
+	entries := mixedEntries(3*TileWidth + 40)
+	ref, err := NewLog(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.AppendBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for index := uint64(0); index < 3; index++ {
+		tile, err := ref.Tile(0, index, TileWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, string(encodeTile(tile)))
+	}
+	l, err := OpenDurableLog(key, t.TempDir(), StoreConfig{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // republishes every tile, over and over
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l.tileMark.Store(0)
+			_ = l.PublishTiles()
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				index := uint64(i % 3)
+				tile, err := l.Tile(0, index, TileWidth)
+				if err == nil && string(encodeTile(tile)) != want[index] {
+					t.Errorf("tile (0, %d) served wrong bytes", index)
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	waitReads := func(n int64) {
+		for deadline := time.Now().Add(10 * time.Second); reads.Load() < n && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitReads(200)
+	if err := l.Close(); err != nil {
+		t.Error(err)
+	}
+	waitReads(reads.Load() + 200) // readers and the publisher keep going on the closed log
+	close(stop)
+	wg.Wait()
+	if tile, err := l.Tile(0, 0, TileWidth); err == nil && string(encodeTile(tile)) != want[0] {
+		t.Fatal("tile served after Close differs from the tree's")
 	}
 }
